@@ -26,9 +26,8 @@ from .model import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec
                     make_gaussian_mixture, make_logistic_posterior,
                     mixture_rectangle_probability, mixture_test_function,
                     mixture_truth, synthetic_logistic_data)
-from .rolling import (CachedSampleBank, RollingConfig, bootstrap_br_snis,
-                      bootstrap_replay_batch, br_snis, build_sample_bank,
-                      rolling_estimate)
+from .rolling import (CachedSampleBank, RollingConfig, bootstrap_br_snis, br_snis,
+                      build_sample_bank, rolling_estimate)
 from .snis import (DegenerateWeightsError, WeightedSampleSet, normalize_weights,
                    snis_bias_bound, snis_estimate, snis_hpd_bound, snis_mse_bound)
 
@@ -41,7 +40,7 @@ __all__ = [
     "NewtonConvergenceError", "PredictiveTable", "ReplicationSummary",
     "RollingConfig", "TestFunction", "UnboundedWeightError", "WeightedPool",
     "WeightedSampleSet", "benchmark_mixture", "bootstrap_br_snis",
-    "bootstrap_replay_batch", "bound_constants", "br_snis", "build_sample_bank",
+    "bound_constants", "br_snis", "build_sample_bank",
     "categorical_draw", "coverage_check", "estimate_kappa", "estimate_omega",
     "fit_geometric_rate", "indicator_difference", "isir_step",
     "key_relation_check", "lag_covariance", "laplace_proposal",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -204,14 +205,12 @@ def run_replication(estimator: str, built: BuiltModel, point: dict,
         m = point["M"]
         draws = counter.propose(rng, m)
         estimate = snis_estimate(WeightedSampleSet(counter.log_weight(draws), f(draws)))
-    elif estimator == "isir-state":
-        cfg = ChainConfig(point["N"], point["k"], "proposal")
-        trace = run_chain(counter, f, cfg, rng)
-        estimate = float(np.mean(f(trace.states[point["k0"] + 1:])))
-    elif estimator == "br-snis":
-        cfg = ChainConfig(point["N"], point["k"], "proposal")
-        trace = run_chain(counter, f, cfg, rng)
-        estimate = rolling_estimate(trace, point["k0"])
+    elif estimator in ("isir-state", "br-snis"):
+        trace = run_chain(counter, f, ChainConfig(point["N"], point["k"]), rng)
+        if estimator == "br-snis":
+            estimate = rolling_estimate(trace, point["k0"])
+        else:
+            estimate = float(np.mean(f(trace.states[point["k0"] + 1:])))
     elif estimator == "br-snis-bootstrap":
         bank = build_sample_bank(counter, f, point["M"], rng)
         cfg = RollingConfig(point["N"], point["k"], point["k0"])
@@ -294,7 +293,30 @@ def _format_row(values) -> str:
     return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
+def _write_outputs(out_path: str, lines: list[str], summary: dict):
+    """Render the CSV lines and the summary, then write each to a temporary
+    file beside its target and rename it into place."""
+    rendered = [(out_path, "\n".join(lines) + "\n"),
+                (out_path + ".summary.json", json.dumps(summary, indent=2) + "\n")]
+    for path, text in rendered:
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+
+
 def cmd_experiment(config: dict, threads: int) -> int:
+    replications = int(config.get("replications", 1))
+    batch_size = int(config.get("batch_size", replications))
+    if replications < 1:
+        raise ConfigError("replications must be at least 1")
+    if batch_size < 1 or replications % batch_size:
+        raise ConfigError("batch_size must divide the number of replications")
     built = build_model(config["model"])
     estimator = config.get("estimator", "snis")
     if estimator not in ESTIMATORS:
@@ -302,8 +324,6 @@ def cmd_experiment(config: dict, threads: int) -> int:
     grid = [_normalize_grid_point(estimator, p) for p in config.get("grid", [])]
     if not grid:
         raise ConfigError("experiment needs a non-empty grid")
-    replications = int(config.get("replications", 1))
-    batch_size = int(config.get("batch_size", replications))
     seed = int(config.get("seed", 0))
     out_path = config.get("out")
     if not out_path:
@@ -356,9 +376,6 @@ def cmd_experiment(config: dict, threads: int) -> int:
         summary_points.append(entry)
 
     header = "replication,estimator,N,k,k0,rounds,M,seed,estimate"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.write("\n".join(rows) + "\n")
     summary = {
         "model": built.label,
         "estimator": estimator,
@@ -368,9 +385,7 @@ def cmd_experiment(config: dict, threads: int) -> int:
         "constants_estimated": estimated,
         "points": summary_points,
     }
-    with open(out_path + ".summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_outputs(out_path, [header] + rows, summary)
     return 0
 
 
@@ -491,13 +506,9 @@ def cmd_diagnose(config: dict) -> int:
         lines, summary = _diagnose_tv(config, built, section)
     else:
         raise ConfigError(f"unknown diagnostic kind '{kind}'")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
     summary["model"] = built.label
     summary["kind"] = kind
-    with open(out_path + ".summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_outputs(out_path, lines, summary)
     return 0
 
 

@@ -1,16 +1,15 @@
-"""The iterated sampling-importance-resampling Markov kernel and chain runner.
+"""The iterated sampling-importance-resampling Markov kernel and chain runners.
 
-One kernel step inserts the current state at a uniformly random slot of an
-N-point candidate pool, fills the remaining slots with fresh proposal draws,
-and selects the next state by one categorical draw over the normalized pool
-weights.  Every pool also yields a recycled estimate: the self-normalized
-estimate over all N candidates, which is what the rolling estimators
-average.
+One kernel step puts the current state in an N-point candidate pool with
+N-1 fresh proposal draws and selects the next state by one categorical draw
+over the normalized pool weights.  Every pool also yields a recycled
+estimate: the self-normalized estimate over all N candidates, which is what
+the rolling estimators average.
 
-Random-stream contract of one sequential step: insertion index, then N-1
-proposal draws, then one selection uniform.  ``run_chains`` is a batched
-runner that is distributionally equivalent but interleaves draws across
-chains (one shared generator); it is the fast path for replicated studies.
+``isir_step`` is the step-by-step reference: it draws a uniform insertion
+slot for the state, then N-1 proposals, then one selection uniform.
+``run_chain`` and ``run_chains`` share one lockstep runner that keeps the
+state first in every pool and draws no slot; no law depends on the layout.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .model import ModelSpec, TestFunction
-from .snis import WeightedSampleSet, normalize_weights, snis_estimate
+from .snis import DegenerateWeightsError, normalize_weights
+from .snis import snis_estimate  # noqa: F401  patched here by perfbench/tracer.py
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,10 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainTrace:
-    """States Y_0..Y_k, per-iteration recycled estimates, optional pools."""
+    """States Y_0..Y_k and the per-iteration recycled estimates."""
 
     states: np.ndarray
     recycled_estimates: np.ndarray
-    pools: Optional[list] = None
 
 
 def categorical_draw(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -102,11 +101,6 @@ def isir_step(model: ModelSpec, y: np.ndarray, f: TestFunction, n_candidates: in
     ``y_log_weight``/``y_f_value`` short-circuit re-evaluating the carried
     state when the caller already holds its cached values.
     """
-    new_y, _, pool = _step(model, y, f, n_candidates, rng, y_log_weight, y_f_value)
-    return new_y, pool
-
-
-def _step(model, y, f, n_candidates, rng, y_log_weight=None, y_f_value=None):
     y = np.asarray(y, dtype=float).ravel()
     slot = int(rng.integers(n_candidates))
     fresh = model.propose(rng, n_candidates - 1)
@@ -120,44 +114,74 @@ def _step(model, y, f, n_candidates, rng, y_log_weight=None, y_f_value=None):
     selected = categorical_draw(normalize_weights(log_weights), rng)
     pool = WeightedPool(points=points, log_weights=log_weights,
                         f_values=f_values, insertion_index=slot)
-    return points[selected], selected, pool
+    return points[selected], pool
 
 
-def _initial_state(model, cfg, rng):
-    if isinstance(cfg.init, np.ndarray):
-        return cfg.init.ravel().copy()
-    if cfg.init == "target":
+def _initial_states(model, init, n_chains, rng):
+    if isinstance(init, np.ndarray):
+        return np.tile(init.ravel(), (n_chains, 1))
+    if init == "target":
         if model.target_sample is None:
             raise ValueError("target-draw start requires model.target_sample")
-        return model.target_sample(rng, 1)[0]
-    return model.propose(rng, 1)[0]
+        return model.target_sample(rng, n_chains)
+    if init == "proposal":
+        return model.propose(rng, n_chains)
+    raise ValueError("init must be 'proposal', 'target' or a point")
+
+
+def _lockstep(model, f, n_candidates, n_iters, y, rng, keep_states):
+    """Run one chain per row of ``y``; returns the recycled estimates
+    ``(chains, iters[, q])`` and, if ``keep_states``, the states
+    ``(chains, iters + 1, dim)``."""
+    n_chains = len(y)
+    state_lw, f0 = model.log_weight(y), f(y)
+    # f values carry a trailing column axis, dropped again for a scalar f;
+    # with one column the sums below are bitwise those of the 2-D arrays.
+    state_fv = f0.reshape(n_chains, -1)
+    m = n_candidates - 1
+    recycled = np.empty((n_chains, n_iters, state_fv.shape[1]))
+    states = None
+    if keep_states:
+        states = np.empty((n_chains, n_iters + 1, model.dim))
+        states[:, 0] = y
+    for step in range(n_iters):
+        fresh = model.propose(rng, n_chains * m)
+        lw = model.log_weight(fresh).reshape(n_chains, m)
+        fv = f(fresh).reshape(n_chains, m, -1)
+        shift = np.maximum(lw.max(axis=1), state_lw)
+        if not np.isfinite(shift).all():
+            raise DegenerateWeightsError("degenerate weights: no finite pool max")
+        w_fresh = np.exp(lw - shift[:, None])
+        w_state = np.exp(state_lw - shift)
+        total = w_fresh.sum(axis=1) + w_state
+        recycled[:, step] = (w_state[:, None] * state_fv +
+                             (w_fresh[:, :, None] * fv).sum(axis=1)) / total[:, None]
+        u = rng.random(n_chains) * total
+        cum = np.cumsum(np.concatenate([w_state[:, None], w_fresh], axis=1), axis=1)
+        pick = np.minimum((cum < u[:, None]).sum(axis=1), m)
+        moved = np.nonzero(pick > 0)[0]
+        cols = pick[moved] - 1
+        state_lw[moved] = lw[moved, cols]
+        state_fv[moved] = fv[moved, cols]
+        if keep_states:
+            y = y.copy()
+            y[moved] = fresh.reshape(n_chains, m, model.dim)[moved, cols]
+            states[:, step + 1] = y
+    return (recycled[:, :, 0] if f0.ndim == 1 else recycled), states
 
 
 def run_chain(model: ModelSpec, f: TestFunction, cfg: ChainConfig,
-              rng: np.random.Generator, keep_pools: bool = False) -> ChainTrace:
-    """Run one chain; recycled_estimates[l] is the pool-l SNIS estimate."""
-    y = _initial_state(model, cfg, rng)
-    y_lw = float(model.log_weight(y[None, :])[0])
-    y_fv = f(y[None, :])[0]
-    states = np.empty((cfg.n_iters + 1, model.dim))
-    states[0] = y
-    recycled = np.empty(cfg.n_iters)
-    pools = [] if keep_pools else None
-    for step in range(cfg.n_iters):
-        y, selected, pool = _step(model, y, f, cfg.n_candidates, rng, y_lw, y_fv)
-        y_lw = float(pool.log_weights[selected])
-        y_fv = pool.f_values[selected]
-        states[step + 1] = y
-        recycled[step] = snis_estimate(WeightedSampleSet(pool.log_weights,
-                                                         pool.f_values))
-        if keep_pools:
-            pools.append(pool)
-    return ChainTrace(states=states, recycled_estimates=recycled, pools=pools)
+              rng: np.random.Generator) -> ChainTrace:
+    """Run one chain, with the random stream of ``run_chains`` with one
+    chain; recycled_estimates[l] is the pool-l SNIS estimate."""
+    recycled, states = _lockstep(model, f, cfg.n_candidates, cfg.n_iters,
+                                 _initial_states(model, cfg.init, 1, rng), rng, True)
+    return ChainTrace(states=states[0], recycled_estimates=recycled[0])
 
 
 @dataclass(frozen=True)
 class BatchChains:
-    """Lockstep chain ensemble: recycled estimates (chains, iters) and states."""
+    """Lockstep chain ensemble: recycled estimates (chains, iters[, q]) and states."""
 
     recycled_estimates: np.ndarray
     states: Optional[np.ndarray] = None
@@ -168,48 +192,12 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
                keep_states: bool = False) -> BatchChains:
     """Run many independent chains in lockstep off one shared generator.
 
-    Per iteration the generator consumes all chains' proposal draws, then all
-    selection uniforms; the insertion slot is not drawn because every output
-    here (recycled estimates, selected states) is invariant to the pool
-    layout.  Distributionally this matches ``run_chain`` per chain.
+    The generator gives the initial states, then per iteration all chains'
+    N - 1 proposal draws and one selection uniform per chain.
     """
-    if init == "target":
-        if model.target_sample is None:
-            raise ValueError("target-draw start requires model.target_sample")
-        y = model.target_sample(rng, n_chains)
-    elif init == "proposal":
-        y = model.propose(rng, n_chains)
-    else:
-        raise ValueError("init must be 'proposal' or 'target'")
-    state_lw = model.log_weight(y)
-    state_fv = f(y)
-    m = n_candidates - 1
-    recycled = np.empty((n_chains, n_iters))
-    states = None
-    if keep_states:
-        states = np.empty((n_chains, n_iters + 1, model.dim))
-        states[:, 0] = y
-    for step in range(n_iters):
-        fresh = model.propose(rng, n_chains * m)
-        lw = model.log_weight(fresh).reshape(n_chains, m)
-        fv = f(fresh).reshape(n_chains, m)
-        shift = np.maximum(lw.max(axis=1), state_lw)
-        w_fresh = np.exp(lw - shift[:, None])
-        w_state = np.exp(state_lw - shift)
-        total = w_fresh.sum(axis=1) + w_state
-        recycled[:, step] = (w_state * state_fv +
-                             (w_fresh * fv).sum(axis=1)) / total
-        u = rng.random(n_chains) * total
-        cum = np.cumsum(np.concatenate([w_state[:, None], w_fresh], axis=1), axis=1)
-        pick = (cum < u[:, None]).sum(axis=1)
-        moved = np.nonzero(pick > 0)[0]
-        cols = pick[moved] - 1
-        state_lw[moved] = lw[moved, cols]
-        state_fv[moved] = fv[moved, cols]
-        if keep_states:
-            y = y.copy()
-            y[moved] = fresh.reshape(n_chains, m, model.dim)[moved, cols]
-            states[:, step + 1] = y
+    recycled, states = _lockstep(model, f, n_candidates, n_iters,
+                                 _initial_states(model, init, n_chains, rng), rng,
+                                 keep_states)
     return BatchChains(recycled_estimates=recycled, states=states)
 
 

@@ -18,6 +18,9 @@ import numpy as np
 
 from .isir import ChainConfig, ChainTrace, run_chain
 from .model import ModelSpec, TestFunction
+from .snis import normalize_weights
+
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -49,16 +52,18 @@ class RollingConfig:
         return (self.n_iters - self.burn_in) / self.n_iters
 
 
-def rolling_estimate(trace: ChainTrace, burn_in: int) -> float:
-    """Mean of the recycled estimates after the burn-in prefix."""
+def rolling_estimate(trace: ChainTrace, burn_in: int) -> float | np.ndarray:
+    """Mean of the recycled estimates after the burn-in prefix; one value
+    per column for a q-column test function."""
     recycled = trace.recycled_estimates
     if not 0 <= burn_in < len(recycled):
         raise ValueError("burn_in must lie in [0, number of iterations)")
-    return float(np.mean(recycled[burn_in:], axis=0))
+    value = np.mean(recycled[burn_in:], axis=0)
+    return float(value) if value.ndim == 0 else value
 
 
 def br_snis(model: ModelSpec, f: TestFunction, cfg: RollingConfig,
-            rng: np.random.Generator) -> float:
+            rng: np.random.Generator) -> float | np.ndarray:
     """Run a cold-start chain and return its burn-in averaged estimate.
 
     Consumes exactly cfg.budget proposal draws plus one initial draw.
@@ -122,22 +127,18 @@ def build_sample_bank(model: ModelSpec, f: TestFunction, n_samples: int,
 
 
 def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
-                      rng: np.random.Generator,
-                      continue_chain: bool = True) -> float | np.ndarray:
+                      rng: np.random.Generator) -> float | np.ndarray:
     """Permutation-averaged replay of the selection dynamics over a bank.
 
     Each round draws a fresh uniform permutation of the M cached triples,
     partitions it into k segments of N - 1, and replays the chain: every
-    iteration's pool is the segment plus the carried state, the recycled
+    iteration's pool is the carried state plus the segment, the recycled
     estimates past the burn-in are averaged into the round's value, and the
     next state is selected by one categorical draw on the cached weights.
+    The state carries over between rounds, so the selection dynamics keep
+    mixing across the whole replay; the reserved triple seeds round one.
     The returned value is the arithmetic mean over rounds.  No model
     evaluation happens here; everything runs off the cached triples.
-
-    With ``continue_chain`` (the default) the state carries over between
-    rounds so the selection dynamics keep mixing across the whole replay;
-    the reserved triple seeds round one.  With ``continue_chain=False``
-    every round restarts from the reserved triple.
 
     Random-stream contract per round: one permutation of M indices, then k
     selection uniforms.
@@ -150,100 +151,46 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
         raise ValueError(f"bank of size {m_total} does not match "
                          f"(N - 1) k = {(n - 1) * k}")
     multi = bank.f_values.ndim == 2
-    # One global max shift keeps every exp() in [0, 1]; entries far below the
-    # shift underflow to zero weight, which is the intended semantics.
-    shift = max(float(bank.log_weights.max()), bank.initial_log_weight)
-    bw = np.exp(bank.log_weights - shift)
-    state_w = float(np.exp(bank.initial_log_weight - shift))
-    state_f = bank.initial_f_value
+    # One global max shift keeps every exp() in [0, 1].  A pool whose
+    # shifted total underflows below the smallest normal float is normalized
+    # on its own instead (DegenerateWeightsError if all of it is -inf), and
+    # the state's weight is put back on the global scale after the step.
+    lw = bank.log_weights
+    shift = max(float(lw.max()), bank.initial_log_weight)
+    bw = np.exp(lw - shift)
+    state_lw, state_f = bank.initial_log_weight, bank.initial_f_value
+    state_w = float(np.exp(state_lw - shift))
     kept = k - k0
-    round_means = np.empty((rounds, bank.f_values.shape[1])) if multi \
-        else np.empty(rounds)
+    round_means = np.empty((rounds,) + bank.f_values.shape[1:])
     for rnd in range(rounds):
         perm = rng.permutation(m_total)
         seg_w = bw[perm].reshape(k, n - 1)
         seg_f = bank.f_values[perm].reshape((k, n - 1, -1) if multi else (k, n - 1))
         cum = np.cumsum(seg_w, axis=1)
-        us = rng.random(k)
-        if not continue_chain:
-            state_w = float(np.exp(bank.initial_log_weight - shift))
-            state_f = bank.initial_f_value
+        # Python floats: cheaper per step than numpy scalars, same values.
+        seg_totals = cum[:, -1].tolist()
+        us = rng.random(k).tolist()
         acc = 0.0
         for step in range(k):
-            total = cum[step, -1] + state_w
+            total = seg_totals[step] + state_w
+            own_shift = not total >= _SMALLEST_NORMAL  # NaN if all are -inf
+            if own_shift:
+                w = normalize_weights(np.append(state_lw, lw[
+                    perm[step * (n - 1):(step + 1) * (n - 1)]]))
+                state_w, seg_w[step] = float(w[0]), w[1:]
+                cum[step] = np.cumsum(seg_w[step])
+                total = cum[step, -1] + state_w
             if step >= k0:
                 acc = acc + (state_w * state_f + seg_w[step] @ seg_f[step]) / total
             u = us[step] * total
             if u > state_w:
                 pick = min(int(np.searchsorted(cum[step], u - state_w,
                                                side="left")), n - 2)
+                state_lw = lw[perm[step * (n - 1) + pick]]
                 state_w = float(seg_w[step, pick])
                 state_f = seg_f[step, pick]
+            if own_shift:
+                state_w = float(np.exp(state_lw - shift))
         round_means[rnd] = acc / kept
     result = round_means.mean(axis=0)
     return result if multi else float(result)
-
-
-def bootstrap_replay_batch(bank_log_weights: np.ndarray, bank_f_values: np.ndarray,
-                           initial_log_weight: np.ndarray,
-                           initial_f_value: np.ndarray,
-                           n_candidates: int, burn_in: int, rounds: int,
-                           rng: np.random.Generator,
-                           continue_chain: bool = True,
-                           single_precision: bool = False) -> np.ndarray:
-    """Vectorized bootstrap replay across many replications at once.
-
-    ``bank_log_weights``/``bank_f_values`` are ``(R, M)`` stacks of per-
-    replication banks, the initial arrays are length R.  Returns the R
-    bootstrap estimates.  Distributionally equivalent to per-replication
-    ``bootstrap_br_snis`` calls; the shared generator consumes, per round,
-    R row permutations then k batches of R selection uniforms.
-
-    ``single_precision`` stores the shuffled weight/value pairs in 32-bit
-    floats, halving the per-round shuffle traffic; use it when a relative
-    error around 1e-7 per estimate is acceptable.
-    """
-    lw = np.asarray(bank_log_weights, dtype=float)
-    fv = np.asarray(bank_f_values, dtype=float)
-    n_rep, m_total = lw.shape
-    n, k0 = n_candidates, burn_in
-    if m_total % (n - 1):
-        raise ValueError("bank size must be a multiple of N - 1")
-    k = m_total // (n - 1)
-    if not 0 <= k0 < k:
-        raise ValueError("burn_in must lie in [0, k)")
-    shift = np.maximum(lw.max(axis=1), initial_log_weight)
-    # Weight/value pairs ride in one complex array so each round costs a
-    # single shuffle pass instead of an index shuffle plus two gathers.
-    paired = np.exp(lw - shift[:, None]) + 1j * fv
-    if single_precision:
-        paired = paired.astype(np.complex64)
-    buffer = np.empty_like(paired)
-    state_w = np.exp(np.asarray(initial_log_weight) - shift)
-    state_f = np.asarray(initial_f_value, dtype=float).copy()
-    rows = np.arange(n_rep)
-    acc_rounds = np.zeros(n_rep)
-    init_w, init_f = state_w.copy(), state_f.copy()
-    for _ in range(rounds):
-        rng.permuted(paired, axis=1, out=buffer)
-        seg_w = buffer.real.reshape(n_rep, k, n - 1)
-        seg_f = buffer.imag.reshape(n_rep, k, n - 1)
-        sums = seg_w.sum(axis=2)
-        us = rng.random((k, n_rep))
-        if not continue_chain:
-            state_w, state_f = init_w.copy(), init_f.copy()
-        acc = np.zeros(n_rep)
-        for step in range(k):
-            w_step = seg_w[:, step, :]
-            total = sums[:, step] + state_w
-            if step >= k0:
-                acc += (state_w * state_f +
-                        np.einsum("ij,ij->i", w_step, seg_f[:, step, :])) / total
-            cum = np.cumsum(w_step, axis=1)
-            u = us[step] * total - state_w
-            pick = np.minimum((cum < u[:, None]).sum(axis=1), n - 2)
-            moved = u > 0
-            state_w = np.where(moved, w_step[rows, pick], state_w)
-            state_f = np.where(moved, seg_f[:, step, :][rows, pick], state_f)
-        acc_rounds += acc / (k - k0)
-    return acc_rounds / rounds

@@ -13,8 +13,8 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 from scipy.stats import chisquare
 
-from brsnis import (benchmark_mixture, bootstrap_br_snis, bootstrap_replay_batch,
-                    bound_constants, build_sample_bank, coverage_check,
+from brsnis import (benchmark_mixture, bootstrap_br_snis, bound_constants,
+                    build_sample_bank, coverage_check,
                     estimate_kappa, estimate_omega, fit_geometric_rate,
                     isir_step, key_relation_check, make_gaussian_mixture,
                     make_logistic_posterior, mixture_test_function,
@@ -22,8 +22,8 @@ from brsnis import (benchmark_mixture, bootstrap_br_snis, bootstrap_replay_batch
                     rolling_hpd_bound, run_chains, sliced_wasserstein,
                     snis_bias_bound, snis_estimate, snis_hpd_bound,
                     snis_mse_bound, synthetic_logistic_data)
-from brsnis import (LogisticPosteriorSpec, ModelSpec, RollingConfig,
-                    TestFunction, WeightedSampleSet)
+from brsnis import (CachedSampleBank, LogisticPosteriorSpec, ModelSpec,
+                    RollingConfig, TestFunction, WeightedSampleSet)
 from brsnis.cli import main as cli_main
 
 ACCEPTANCE_SEED = 1234
@@ -173,6 +173,7 @@ class TestFixedBudgetComparison:
         k = m // (n - 1)
         rounds = m // (n - 1)
         reps, chunk = 5000, 250
+        cfg = RollingConfig(n, k, k - 1)
         rng = rng_for(4)
         snis_est = np.empty(reps)
         br_est = np.empty(reps)
@@ -182,13 +183,14 @@ class TestFixedBudgetComparison:
             draws = model.propose(rng, take * (m + 1))
             lw = model.log_weight(draws).reshape(take, m + 1)
             fv = f(draws).reshape(take, m + 1)
-            bank_lw, bank_fv = lw[:, :m], fv[:, :m]
-            shift = bank_lw.max(axis=1, keepdims=True)
-            w = np.exp(bank_lw - shift)
-            snis_est[done:done + take] = (w * bank_fv).sum(axis=1) / w.sum(axis=1)
-            br_est[done:done + take] = bootstrap_replay_batch(
-                bank_lw, bank_fv, lw[:, m], fv[:, m], n_candidates=n,
-                burn_in=k - 1, rounds=rounds, rng=rng, single_precision=True)
+            points = draws.reshape(take, m + 1, -1)
+            # One bank per replication; column m is its reserved triple.
+            for i in range(take):
+                bank = CachedSampleBank(points[i, :m], lw[i, :m], fv[i, :m],
+                                        points[i, m], float(lw[i, m]), fv[i, m])
+                snis_est[done + i] = snis_estimate(
+                    WeightedSampleSet(bank.log_weights, bank.f_values))
+                br_est[done + i] = bootstrap_br_snis(bank, cfg, rounds, rng)
             done += take
         stats_snis = replication_stats(snis_est, truth, batch_size=100)
         stats_br = replication_stats(br_est, truth, batch_size=100)

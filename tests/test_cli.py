@@ -1,11 +1,13 @@
 """CLI subcommands: config handling, determinism, budgets, exit codes."""
 
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from brsnis.cli import main, replication_rng, seed_fingerprint
+from brsnis.cli import _write_outputs, main, replication_rng, seed_fingerprint
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -138,6 +140,13 @@ class TestExperimentCommand:
                                    grid=[{"N": 5, "k": 6, "M": 99}])
         assert main(["experiment", "--config", config]) == 2
 
+    def test_batch_size_checked_before_sampling(self, tmp_path):
+        """The config error comes before the constants' 10^6 draws."""
+        config = experiment_config(tmp_path, replications=10, batch_size=3,
+                                   omega=None, kappa=None)
+        assert main(["experiment", "--config", config]) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
 
 class TestDiagnoseCommand:
     def test_sliced_wasserstein_curves(self, tmp_path):
@@ -206,6 +215,17 @@ class TestExitCodes:
         config = experiment_config(tmp_path, estimator="magic")
         assert main(["experiment", "--config", config]) == 2
 
+    def test_render_failure_keeps_existing_outputs(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text("old csv\n")
+        summary = tmp_path / "out.csv.summary.json"
+        summary.write_text("{}\n")
+        with pytest.raises(TypeError):
+            _write_outputs(str(out), ["new"], {"unserializable": object()})
+        assert (out.read_text(), summary.read_text()) == ("old csv\n", "{}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["out.csv", "out.csv.summary.json"]
+
     def test_unwritable_output_is_runtime_error(self, tmp_path):
         config = experiment_config(tmp_path,
                                    out=str(tmp_path / "missing" / "out.csv"))
@@ -214,3 +234,20 @@ class TestExitCodes:
     def test_parse_error(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+class TestTraceHooks:
+    """perfbench/tracer.py patches package names that must keep existing."""
+
+    def test_tracer_records_chain_and_bootstrap_spans(self, tmp_path):
+        tracer_mod = runpy.run_path(
+            str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
+        tracer = tracer_mod["Tracer"]()
+        with tracer_mod["installed"](tracer):
+            for estimator in ("br-snis", "br-snis-bootstrap"):
+                config = experiment_config(tmp_path, estimator=estimator,
+                                           grid=[{"N": 5, "k": 6}],
+                                           replications=2, batch_size=1)
+                assert main(["experiment", "--config", config]) == 0
+        names = {span.name for span in tracer.spans}
+        assert {"isir.run_chain", "rolling.bootstrap_br_snis"} <= names

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from brsnis import (ChainConfig, ModelSpec, TestFunction, WeightedSampleSet,
-                    categorical_draw, isir_step, key_relation_check, run_chain,
+from brsnis import (ChainConfig, DegenerateWeightsError, ModelSpec, TestFunction,
+                    WeightedSampleSet, categorical_draw, isir_step,
+                    key_relation_check, run_chain,
                     run_chains, sliced_wasserstein, snis_estimate)
 
 
@@ -113,35 +114,66 @@ class TestIsirStep:
 
 
 class TestRunChain:
+    @staticmethod
+    def assert_matches_hand_replay(model, f, n, k, seed):
+        """Replay ``run_chain``'s stream (the initial draw, then per step N - 1
+        proposals and one uniform) over pools of the state then its draws:
+        states match exactly, each recycled value is bitwise the runner's pool
+        SNIS (shift by the pool max, state term plus fresh sum, over the
+        total) and within rel 1e-12 of ``snis_estimate``."""
+        trace = run_chain(model, f, ChainConfig(n, k), np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        y = model.propose(rng, 1)[0]
+        y_lw, y_f = model.log_weight(y[None, :])[0], f(y[None, :])[0]
+        for step, level in enumerate(trace.recycled_estimates):
+            np.testing.assert_array_equal(trace.states[step], y)
+            fresh = model.propose(rng, n - 1)
+            u, lw, fv = rng.random(), model.log_weight(fresh), f(fresh)
+            assert level == pytest.approx(snis_estimate(WeightedSampleSet(
+                np.append(y_lw, lw), np.append(y_f, fv))), rel=1e-12)
+            w = np.exp(np.append(y_lw, lw) - max(lw.max(), y_lw))
+            assert level == (w[0] * y_f + (w[1:] * fv).sum()) / (w[1:].sum() + w[0])
+            j = min(int(np.searchsorted(np.cumsum(w), u * (w[1:].sum() + w[0]))), n - 1)
+            if j > 0:
+                y, y_lw, y_f = fresh[j - 1], lw[j - 1], fv[j - 1]
+        np.testing.assert_array_equal(trace.states[k], y)
+        return trace
+
     def test_single_iteration_matches_manual_step(self, mixture2):
         _, model, f, _ = mixture2
-        cfg = ChainConfig(n_candidates=8, n_iters=1)
-        trace = run_chain(model, f, cfg, np.random.default_rng(6), keep_pools=True)
-
-        replay = np.random.default_rng(6)
-        y0 = model.propose(replay, 1)[0]
-        new_y, pool = isir_step(model, y0, f, 8, replay)
-        np.testing.assert_array_equal(trace.states[0], y0)
-        np.testing.assert_array_equal(trace.states[1], new_y)
-        np.testing.assert_array_equal(trace.pools[0].points, pool.points)
-        assert trace.recycled_estimates[0] == snis_estimate(
-            WeightedSampleSet(pool.log_weights, pool.f_values))
+        self.assert_matches_hand_replay(model, f, n=8, k=1, seed=6)
 
     def test_recycled_equals_pool_snis_bitwise(self, mixture2):
         _, model, f, _ = mixture2
-        cfg = ChainConfig(n_candidates=6, n_iters=10)
-        trace = run_chain(model, f, cfg, np.random.default_rng(7), keep_pools=True)
-        for level, pool in zip(trace.recycled_estimates, trace.pools):
-            assert level == snis_estimate(
-                WeightedSampleSet(pool.log_weights, pool.f_values))
+        self.assert_matches_hand_replay(model, f, n=6, k=10, seed=7)
 
     def test_previous_state_survives_in_every_pool(self, mixture2):
+        """The replay keeps the state in every pool; the chain stays at some steps."""
         _, model, f, _ = mixture2
-        cfg = ChainConfig(n_candidates=5, n_iters=12)
-        trace = run_chain(model, f, cfg, np.random.default_rng(8), keep_pools=True)
-        for step, pool in enumerate(trace.pools):
-            matches = np.all(pool.points == trace.states[step], axis=1)
-            assert matches.sum() == 1
+        trace = self.assert_matches_hand_replay(model, f, n=5, k=12, seed=8)
+        stays = np.all(trace.states[1:] == trace.states[:-1], axis=1)
+        assert stays.any() and not stays.all()
+
+    def test_vector_test_function_columns(self, mixture2):
+        """Columns (f, 1): column 0 is f's scalar run, column 1 is 1."""
+        _, model, f, _ = mixture2
+        f2 = TestFunction(fn=lambda pts: np.column_stack([f(pts), np.ones(len(pts))]),
+                          sup_bound=1.0)
+        for run in (lambda g: run_chain(model, g, ChainConfig(9, 5),
+                                        np.random.default_rng(21)).recycled_estimates,
+                    lambda g: run_chains(model, g, 9, 5, 3,
+                                         np.random.default_rng(21)).recycled_estimates):
+            scalar, vector = run(f), run(f2)
+            assert vector.shape == scalar.shape + (2,)
+            np.testing.assert_allclose(vector[..., 0], scalar, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(vector[..., 1], 1.0, rtol=1e-12)
+
+    def test_all_minus_inf_pool_rejected(self):
+        model = ModelSpec(dim=1, log_weight=lambda x: np.full(len(x), -np.inf),
+                          propose=lambda rng, n: rng.standard_normal((n, 1)))
+        with pytest.raises(DegenerateWeightsError):
+            run_chain(model, unit_function(), ChainConfig(4, 2),
+                      np.random.default_rng(23))
 
     def test_explicit_and_target_starts(self, mixture2):
         _, model, f, _ = mixture2
@@ -181,15 +213,19 @@ class TestRunChains:
         assert abs(est.mean() - truth) <= 4.0 * se
 
     def test_agrees_with_sequential_runner(self, mixture2):
-        """Lockstep and sequential runners draw from the same law."""
+        """The lockstep runner and iterated reference steps draw from the
+        same law."""
         _, model, f, _ = mixture2
         n, k, reps = 8, 3, 1500
         batch = run_chains(model, f, n, k, reps, np.random.default_rng(13))
         rng = np.random.default_rng(14)
-        seq = np.array([
-            run_chain(model, f, ChainConfig(n, k), rng).recycled_estimates
-            for _ in range(reps)
-        ])
+        seq = np.empty((reps, k))
+        for rep in range(reps):
+            y = model.propose(rng, 1)[0]
+            for step in range(k):
+                y, pool = isir_step(model, y, f, n, rng)
+                seq[rep, step] = snis_estimate(
+                    WeightedSampleSet(pool.log_weights, pool.f_values))
         for step in range(k):
             a, b = batch.recycled_estimates[:, step], seq[:, step]
             se = np.sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from brsnis import (CachedSampleBank, ChainTrace, CountingModel, RollingConfig,
-                    TestFunction, bootstrap_br_snis, bootstrap_replay_batch,
-                    br_snis, build_sample_bank, rolling_estimate, run_chains)
+from brsnis import (CachedSampleBank, ChainTrace, CountingModel,
+                    DegenerateWeightsError, RollingConfig, TestFunction,
+                    bootstrap_br_snis, br_snis, build_sample_bank,
+                    rolling_estimate, run_chains)
 
 
 def make_trace(recycled):
@@ -14,22 +15,25 @@ def make_trace(recycled):
     return ChainTrace(states=states, recycled_estimates=recycled)
 
 
-def reference_replay(bank, cfg, rounds, rng, continue_chain=True):
+def flat_bank(log_weights, f_values, initial_log_weight, initial_f_value):
+    """A bank of one-dimensional zero points with the given triples."""
+    return CachedSampleBank(np.zeros((len(log_weights), 1)), log_weights, f_values,
+                            np.zeros(1), initial_log_weight, initial_f_value)
+
+
+def reference_replay(bank, cfg, rounds, rng):
     """Naive scalar replay used as an independent oracle for the fast path.
 
     Same stream contract as the library: per round one permutation of the
-    bank, then one selection uniform per iteration.
+    bank, then one selection uniform per iteration.  Every pool is shifted
+    by its own max log weight.
     """
     n, k, k0 = cfg.n_candidates, cfg.n_iters, cfg.burn_in
-    state_lw = bank.initial_log_weight
-    state_f = bank.initial_f_value
+    state_lw, state_f = bank.initial_log_weight, bank.initial_f_value
     round_values = []
     for _ in range(rounds):
         perm = rng.permutation(bank.size)
         us = rng.random(k)
-        if not continue_chain:
-            state_lw = bank.initial_log_weight
-            state_f = bank.initial_f_value
         kept = []
         for step in range(k):
             idx = perm[step * (n - 1):(step + 1) * (n - 1)]
@@ -44,8 +48,7 @@ def reference_replay(bank, cfg, rounds, rng, continue_chain=True):
             cum = np.cumsum(w[order])
             pick = order[min(int(np.searchsorted(cum, us[step], side="left")),
                              n - 1)]
-            state_lw = lw[pick]
-            state_f = fv[pick]
+            state_lw, state_f = lw[pick], fv[pick]
         round_values.append(np.mean(kept))
     return float(np.mean(round_values))
 
@@ -114,15 +117,35 @@ class TestBootstrap:
         slow = reference_replay(bank, cfg, rounds=7, rng=np.random.default_rng(3))
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
-    def test_matches_reference_replay_cold_rounds(self, mixture2):
+    def test_matches_reference_replay_partial_burn_in(self, mixture2):
         _, model, f, _ = mixture2
         bank = build_sample_bank(model, f, 36, np.random.default_rng(4))
         cfg = RollingConfig(n_candidates=7, n_iters=6, burn_in=2)
-        fast = bootstrap_br_snis(bank, cfg, rounds=5, rng=np.random.default_rng(5),
-                                 continue_chain=False)
-        slow = reference_replay(bank, cfg, rounds=5, rng=np.random.default_rng(5),
-                                continue_chain=False)
+        fast = bootstrap_br_snis(bank, cfg, rounds=5, rng=np.random.default_rng(5))
+        slow = reference_replay(bank, cfg, rounds=5, rng=np.random.default_rng(5))
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
+
+    def test_underflowed_pools_match_reference_replay(self):
+        """Pools far below the bank's max weight are shifted by their own max
+        instead of returning 0/0."""
+        lw = np.full(64, -900.0)
+        lw[0] = 0.0
+        bank = flat_bank(lw, np.arange(64) / 64.0, -900.0, 0.5)
+        cfg = RollingConfig(n_candidates=5, n_iters=16, burn_in=0)
+        for seed in range(5):
+            fast = bootstrap_br_snis(bank, cfg, rounds=4,
+                                     rng=np.random.default_rng(seed))
+            slow = reference_replay(bank, cfg, rounds=4,
+                                    rng=np.random.default_rng(seed))
+            assert fast == pytest.approx(slow, rel=1e-12), seed
+
+    def test_all_minus_inf_pool_rejected(self):
+        lw = np.full(8, -np.inf)
+        lw[0] = 0.0
+        bank = flat_bank(lw, np.zeros(8), -np.inf, 0.0)
+        with pytest.raises(DegenerateWeightsError):
+            bootstrap_br_snis(bank, RollingConfig(3, 4, 0), rounds=4,
+                              rng=np.random.default_rng(0))
 
     def test_single_round_equals_one_replayed_chain(self, mixture2):
         _, model, f, _ = mixture2
@@ -147,9 +170,7 @@ class TestBootstrap:
         rng = np.random.default_rng(10)
         m, n = 12, 4
         f_values = rng.normal(size=m)
-        bank = CachedSampleBank(points=np.zeros((m, 1)), log_weights=np.zeros(m),
-                                f_values=f_values, initial_point=np.zeros(1),
-                                initial_log_weight=0.0, initial_f_value=0.5)
+        bank = flat_bank(np.zeros(m), f_values, 0.0, 0.5)
         cfg = RollingConfig(n_candidates=n + 1, n_iters=3, burn_in=0)
         value = bootstrap_br_snis(bank, cfg, rounds=4, rng=np.random.default_rng(11))
         lo = min(f_values.min(), 0.5)
@@ -173,49 +194,6 @@ class TestBootstrap:
         value = bootstrap_br_snis(bank, cfg, rounds=3, rng=np.random.default_rng(15))
         assert value.shape == (2,)
         assert value[1] == pytest.approx(1.0, abs=1e-12)  # constant column
-
-
-class TestBootstrapBatch:
-    def test_constant_weights_match_scalar_exactly(self):
-        rng = np.random.default_rng(16)
-        m, n_rep = 12, 3
-        f_vals = rng.normal(size=(n_rep, m))
-        cfg = RollingConfig(n_candidates=5, n_iters=3, burn_in=0)
-        batch = bootstrap_replay_batch(
-            np.zeros((n_rep, m)), f_vals, np.zeros(n_rep), f_vals[:, 0].copy(),
-            n_candidates=5, burn_in=0, rounds=2, rng=np.random.default_rng(17))
-        # Unit weights make every pool estimate a plain average, so scalar
-        # replays with any stream give the same per-round distribution; here
-        # we only pin the range and determinism.
-        assert batch.shape == (n_rep,)
-        for r in range(n_rep):
-            lo = min(f_vals[r].min(), f_vals[r, 0])
-            hi = max(f_vals[r].max(), f_vals[r, 0])
-            assert lo <= batch[r] <= hi
-        again = bootstrap_replay_batch(
-            np.zeros((n_rep, m)), f_vals, np.zeros(n_rep), f_vals[:, 0].copy(),
-            n_candidates=5, burn_in=0, rounds=2, rng=np.random.default_rng(17))
-        np.testing.assert_array_equal(batch, again)
-
-    def test_distribution_matches_scalar_path(self, mixture2):
-        """Batch and scalar replays share the estimator's law."""
-        _, model, f, _ = mixture2
-        n_rep, m = 400, 32
-        cfg = RollingConfig(n_candidates=9, n_iters=4, burn_in=3)
-        rng = np.random.default_rng(18)
-        banks = [build_sample_bank(model, f, m, rng) for _ in range(n_rep)]
-        scalar = np.array([
-            bootstrap_br_snis(b, cfg, rounds=4, rng=np.random.default_rng(1000 + i))
-            for i, b in enumerate(banks)
-        ])
-        batch = bootstrap_replay_batch(
-            np.stack([b.log_weights for b in banks]),
-            np.stack([b.f_values for b in banks]),
-            np.array([b.initial_log_weight for b in banks]),
-            np.array([b.initial_f_value for b in banks]),
-            n_candidates=9, burn_in=3, rounds=4, rng=np.random.default_rng(19))
-        se = np.sqrt(scalar.var(ddof=1) / n_rep + batch.var(ddof=1) / n_rep)
-        assert abs(scalar.mean() - batch.mean()) <= 4.0 * se
 
 
 class TestRollingBounds:
