@@ -16,9 +16,9 @@ from .bounds import (BoundConstants, bound_constants, mixing_rate, mixing_time,
 from .diagnostics import (CoverageResult, PredictiveTable, ReplicationSummary,
                           coverage_check, fit_geometric_rate, lag_covariance,
                           replication_stats, sliced_wasserstein, tv_predictive)
-from .isir import (BatchChains, ChainConfig, ChainTrace, KeyRelationResult,
-                   WeightedPool, categorical_draw, isir_step, key_relation_check,
-                   run_chain, run_chains)
+from .isir import (ChainConfig, ChainTrace, KeyRelationResult, WeightedPool,
+                   categorical_draw, isir_step, key_relation_check, run_chain,
+                   run_chains)
 from .model import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec,
                     NewtonConvergenceError, TestFunction, UnboundedWeightError,
                     benchmark_mixture, estimate_kappa, estimate_omega,
@@ -26,7 +26,7 @@ from .model import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec
                     make_gaussian_mixture, make_logistic_posterior,
                     mixture_rectangle_probability, mixture_test_function,
                     mixture_truth, synthetic_logistic_data)
-from .rolling import (CachedSampleBank, RollingConfig, bootstrap_br_snis, br_snis,
+from .rolling import (CachedSampleBank, RollingConfig, bootstrap_br_snis,
                       build_sample_bank, rolling_estimate)
 from .snis import (DegenerateWeightsError, WeightedSampleSet, normalize_weights,
                    snis_bias_bound, snis_estimate, snis_hpd_bound, snis_mse_bound)
@@ -34,14 +34,13 @@ from .snis import (DegenerateWeightsError, WeightedSampleSet, normalize_weights,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchChains", "BoundConstants", "CachedSampleBank", "ChainConfig",
-    "ChainTrace", "CountingModel", "CoverageResult", "DegenerateWeightsError",
+    "BoundConstants", "CachedSampleBank", "ChainConfig", "ChainTrace",
+    "CountingModel", "CoverageResult", "DegenerateWeightsError",
     "KeyRelationResult", "LogisticPosteriorSpec", "MixtureSpec", "ModelSpec",
     "NewtonConvergenceError", "PredictiveTable", "ReplicationSummary",
     "RollingConfig", "TestFunction", "UnboundedWeightError", "WeightedPool",
     "WeightedSampleSet", "benchmark_mixture", "bootstrap_br_snis",
-    "bound_constants", "br_snis", "build_sample_bank",
-    "categorical_draw", "coverage_check", "estimate_kappa", "estimate_omega",
+    "bound_constants", "build_sample_bank", "categorical_draw", "coverage_check", "estimate_kappa", "estimate_omega",
     "fit_geometric_rate", "indicator_difference", "isir_step",
     "key_relation_check", "lag_covariance", "laplace_proposal",
     "logistic_predictive", "make_gaussian_mixture", "make_logistic_posterior",

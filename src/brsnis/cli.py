@@ -398,6 +398,10 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
     chains = int(section.get("chains", 1000))
     groups = int(section.get("groups", 8))
     n_projections = int(section.get("projections", 100))
+    if groups < 2:
+        raise ConfigError("sw diagnostics need groups >= 2 for a standard error")
+    if k_max < 3:
+        raise ConfigError("sw diagnostics need k_max >= 3 to fit a rate")
     omega, kappa, _ = resolve_constants(config, built)
     rows = []
     summary = {"per_n": []}
@@ -441,6 +445,16 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
     replications = int(section.get("replications", 1000))
     n_test = int(section.get("test_points", 200))
     reference_draws = int(section.get("reference_draws", 10 ** 6))
+    if replications < 1:
+        raise ConfigError("replications must be at least 1")
+    n_small, n_large = int(section.get("N", 9)), int(section.get("N_large", 33))
+    schedule = []
+    for m in budgets:
+        try:
+            schedule.append(_normalize_grid_point(
+                "br-snis-bootstrap", {"N": n_small if m <= 64 else n_large, "M": m}))
+        except ConfigError as exc:
+            raise ConfigError(f"tv budget {m}: {exc}") from None
     model = built.model
     data_rng = _stream_rng(seed, _DATA_STREAM)
     x_test = data_rng.standard_normal((n_test, model.dim))
@@ -455,11 +469,9 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
                               sup_bound=1.0)
     rows = []
     summary = {"per_budget": []}
-    for gi, m in enumerate(budgets):
-        n = int(section.get("N", 9)) if m <= 64 else int(section.get("N_large", 33))
-        k = m // (n - 1)
-        cfg = RollingConfig(n, k, k - 1)
-        rounds = m // (n - 1)
+    for gi, point in enumerate(schedule):
+        m, n, k, rounds = point["M"], point["N"], point["k"], point["rounds"]
+        cfg = RollingConfig(n, k, point["k0"])
         snis_sum = np.zeros(n_test)
         br_sum = np.zeros(n_test)
         tv_snis = np.empty(replications)

@@ -8,7 +8,7 @@ checking, and geometric-rate fitting of decay curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -21,7 +21,6 @@ class ReplicationSummary:
     ``batch_bias[b]`` is the batch-b mean estimate minus the truth and
     ``batch_mse[b]`` the batch-b mean squared error.  ``bias`` and ``mse``
     aggregate over batches, each with a standard error across batches.
-    ``config`` is an opaque echo of the run configuration.
     """
 
     batch_bias: np.ndarray
@@ -33,12 +32,15 @@ class ReplicationSummary:
     mse: float
     bias_se: float
     mse_se: float
-    config: dict = field(default_factory=dict)
 
 
-def replication_stats(estimates: np.ndarray, truth: float, batch_size: int,
-                      config: Optional[dict] = None) -> ReplicationSummary:
-    """Per-batch bias/MSE over replicated estimates of a known truth."""
+def replication_stats(estimates: np.ndarray, truth: float,
+                      batch_size: int) -> ReplicationSummary:
+    """Per-batch bias/MSE over replicated estimates of a known truth.
+
+    The estimates are split in order into batches of ``batch_size``, which
+    must divide their number; the standard errors are taken across batches.
+    """
     estimates = np.asarray(estimates, dtype=float).ravel()
     if estimates.size == 0:
         raise ValueError("estimates must be non-empty")
@@ -59,7 +61,6 @@ def replication_stats(estimates: np.ndarray, truth: float, batch_size: int,
         mse=float(batch_mse.mean()),
         bias_se=float(batch_bias.std(ddof=0) / spread),
         mse_se=float(batch_mse.std(ddof=0) / spread),
-        config=dict(config or {}),
     )
 
 

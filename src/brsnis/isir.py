@@ -70,10 +70,11 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ChainTrace:
-    """States Y_0..Y_k and the per-iteration recycled estimates."""
+    """The per-iteration recycled estimates and, when kept, the states
+    Y_0..Y_k.  From ``run_chains`` both carry a leading chain axis."""
 
-    states: np.ndarray
     recycled_estimates: np.ndarray
+    states: Optional[np.ndarray] = None
 
 
 def categorical_draw(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -176,29 +177,23 @@ def run_chain(model: ModelSpec, f: TestFunction, cfg: ChainConfig,
     chain; recycled_estimates[l] is the pool-l SNIS estimate."""
     recycled, states = _lockstep(model, f, cfg.n_candidates, cfg.n_iters,
                                  _initial_states(model, cfg.init, 1, rng), rng, True)
-    return ChainTrace(states=states[0], recycled_estimates=recycled[0])
-
-
-@dataclass(frozen=True)
-class BatchChains:
-    """Lockstep chain ensemble: recycled estimates (chains, iters[, q]) and states."""
-
-    recycled_estimates: np.ndarray
-    states: Optional[np.ndarray] = None
+    return ChainTrace(recycled_estimates=recycled[0], states=states[0])
 
 
 def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: int,
                n_chains: int, rng: np.random.Generator, init: str = "proposal",
-               keep_states: bool = False) -> BatchChains:
+               keep_states: bool = False) -> ChainTrace:
     """Run many independent chains in lockstep off one shared generator.
 
     The generator gives the initial states, then per iteration all chains'
-    N - 1 proposal draws and one selection uniform per chain.
+    N - 1 proposal draws and one selection uniform per chain.  The trace has
+    recycled estimates ``(chains, iters[, q])`` and, only if ``keep_states``,
+    states ``(chains, iters + 1, dim)``.
     """
     recycled, states = _lockstep(model, f, n_candidates, n_iters,
                                  _initial_states(model, init, n_chains, rng), rng,
                                  keep_states)
-    return BatchChains(recycled_estimates=recycled, states=states)
+    return ChainTrace(recycled_estimates=recycled, states=states)
 
 
 @dataclass(frozen=True)

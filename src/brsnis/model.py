@@ -10,7 +10,7 @@ mode (Newton-fitted, diagonal curvature).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -341,11 +341,8 @@ def _log_posterior(spec: LogisticPosteriorSpec, theta: np.ndarray) -> np.ndarray
     theta = np.atleast_2d(theta)
     dim = spec.dim
     tau2 = spec.prior_precision
-    if spec.n_obs:
-        z = spec.responses[None, :] * (theta @ spec.covariates.T)
-        ll = -np.logaddexp(0.0, -z).sum(axis=1)
-    else:
-        ll = np.zeros(len(theta))
+    z = spec.responses[None, :] * (theta @ spec.covariates.T)
+    ll = -np.logaddexp(0.0, -z).sum(axis=1)
     lp = 0.5 * dim * np.log(tau2 / (2.0 * np.pi)) - 0.5 * tau2 * (theta ** 2).sum(axis=1)
     return ll + lp
 
@@ -365,30 +362,16 @@ def laplace_proposal(spec: LogisticPosteriorSpec,
     dim = spec.dim
     theta = np.zeros(dim)
     eye = np.eye(dim)
-    for _ in range(max_iter):
-        if spec.n_obs:
-            z = y * (x @ theta)
-            s = 1.0 / (1.0 + np.exp(z))          # sigmoid(-z)
-            grad = (y * s) @ x - tau2 * theta
-            hess = (x * (s * (1.0 - s))[:, None]).T @ x + tau2 * eye
-        else:
-            grad = -tau2 * theta
-            hess = tau2 * eye
+    for it in range(max_iter + 1):
+        z = y * (x @ theta)
+        s = 1.0 / (1.0 + np.exp(z))          # sigmoid(-z)
+        grad = (y * s) @ x - tau2 * theta
+        hess = (x * (s * (1.0 - s))[:, None]).T @ x + tau2 * eye
         if np.linalg.norm(grad) <= grad_tol:
             return theta, 1.0 / np.diag(hess)
+        if it == max_iter:
+            break
         theta = theta + np.linalg.solve(hess, grad)
-    if spec.n_obs:
-        z = y * (x @ theta)
-        s = 1.0 / (1.0 + np.exp(z))
-        grad = (y * s) @ x - tau2 * theta
-    else:
-        grad = -tau2 * theta
-    if np.linalg.norm(grad) <= grad_tol:
-        if spec.n_obs:
-            hess = (x * (s * (1.0 - s))[:, None]).T @ x + tau2 * eye
-        else:
-            hess = tau2 * eye
-        return theta, 1.0 / np.diag(hess)
     raise NewtonConvergenceError(
         f"mode search did not reach gradient tolerance {grad_tol} "
         f"within {max_iter} iterations", theta)

@@ -3,11 +3,11 @@ sample-reusing bootstrap wrapper.
 
 The rolling estimator averages the per-iteration recycled estimates of a
 chain after discarding a burn-in prefix.  The bootstrap wrapper re-runs the
-selection dynamics over random permutations of one cached bank of proposal
-samples, so after the bank is built it never touches the model again; the
-chain state carries over from round to round, which lets the selection
-dynamics keep mixing across rounds while each round contributes its
-final-window average.
+selection dynamics over random permutations of one cached bank of
+(log weight, f value) pairs, so after the bank is built it never touches the
+model again; the chain state carries over from round to round, which lets
+the selection dynamics keep mixing across rounds while each round
+contributes its final-window average.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .isir import ChainConfig, ChainTrace, run_chain
+from .isir import ChainTrace
 from .model import ModelSpec, TestFunction
 from .snis import normalize_weights
 
@@ -25,11 +25,7 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 
 @dataclass(frozen=True)
 class RollingConfig:
-    """Pool size N, iteration count k and burn-in k0 (0 <= k0 < k).
-
-    ``budget`` is the number of fresh proposal samples consumed by the chain
-    itself, (N - 1) k; ``kept_fraction`` is (k - k0) / k.
-    """
+    """Pool size N, iteration count k and burn-in k0 (0 <= k0 < k)."""
 
     n_candidates: int
     n_iters: int
@@ -43,14 +39,6 @@ class RollingConfig:
         if not 0 <= self.burn_in < self.n_iters:
             raise ValueError("burn_in must lie in [0, n_iters)")
 
-    @property
-    def budget(self) -> int:
-        return (self.n_candidates - 1) * self.n_iters
-
-    @property
-    def kept_fraction(self) -> float:
-        return (self.n_iters - self.burn_in) / self.n_iters
-
 
 def rolling_estimate(trace: ChainTrace, burn_in: int) -> float | np.ndarray:
     """Mean of the recycled estimates after the burn-in prefix; one value
@@ -62,17 +50,6 @@ def rolling_estimate(trace: ChainTrace, burn_in: int) -> float | np.ndarray:
     return float(value) if value.ndim == 0 else value
 
 
-def br_snis(model: ModelSpec, f: TestFunction, cfg: RollingConfig,
-            rng: np.random.Generator) -> float | np.ndarray:
-    """Run a cold-start chain and return its burn-in averaged estimate.
-
-    Consumes exactly cfg.budget proposal draws plus one initial draw.
-    """
-    trace = run_chain(model, f,
-                      ChainConfig(cfg.n_candidates, cfg.n_iters, "proposal"), rng)
-    return rolling_estimate(trace, cfg.burn_in)
-
-
 # ---------------------------------------------------------------------------
 # Bootstrap over a cached sample bank
 # ---------------------------------------------------------------------------
@@ -80,27 +57,25 @@ def br_snis(model: ModelSpec, f: TestFunction, cfg: RollingConfig,
 
 @dataclass(frozen=True)
 class CachedSampleBank:
-    """M cached proposal triples (point, log weight, f value) plus one
-    reserved initial-state triple.
+    """The log weights and f values of M cached proposal draws, plus those of
+    one reserved initial-state draw.  The points themselves are not kept:
+    the replay reads only weights and f values.
 
     ``f_values`` may be ``(M,)`` or ``(M, q)`` for q test functions sharing
     the weights.  Arrays are frozen after construction.
     """
 
-    points: np.ndarray
     log_weights: np.ndarray
     f_values: np.ndarray
-    initial_point: np.ndarray
     initial_log_weight: float
     initial_f_value: float | np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
         lw = np.asarray(self.log_weights, dtype=float).ravel()
         fv = np.asarray(self.f_values, dtype=float)
-        if len(pts) != len(lw) or len(fv) != len(lw):
+        if len(fv) != len(lw):
             raise ValueError("bank arrays must share one length")
-        for arr, name in ((pts, "points"), (lw, "log_weights"), (fv, "f_values")):
+        for arr, name in ((lw, "log_weights"), (fv, "f_values")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -111,16 +86,15 @@ class CachedSampleBank:
 
 def build_sample_bank(model: ModelSpec, f: TestFunction, n_samples: int,
                       rng: np.random.Generator) -> CachedSampleBank:
-    """Draw and cache n_samples proposal triples plus the reserved initial one."""
+    """Draw n_samples proposal points plus the reserved initial one and cache
+    their log weights and f values."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     pts = model.propose(rng, n_samples)
     init = model.propose(rng, 1)
     return CachedSampleBank(
-        points=pts,
         log_weights=model.log_weight(pts),
         f_values=f(pts),
-        initial_point=init[0],
         initial_log_weight=float(model.log_weight(init)[0]),
         initial_f_value=f(init)[0],
     )
@@ -130,15 +104,16 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
                       rng: np.random.Generator) -> float | np.ndarray:
     """Permutation-averaged replay of the selection dynamics over a bank.
 
-    Each round draws a fresh uniform permutation of the M cached triples,
+    Each round draws a fresh uniform permutation of the M cached entries,
     partitions it into k segments of N - 1, and replays the chain: every
     iteration's pool is the carried state plus the segment, the recycled
     estimates past the burn-in are averaged into the round's value, and the
     next state is selected by one categorical draw on the cached weights.
     The state carries over between rounds, so the selection dynamics keep
-    mixing across the whole replay; the reserved triple seeds round one.
+    mixing across the whole replay; the reserved entry seeds round one.
     The returned value is the arithmetic mean over rounds.  No model
-    evaluation happens here; everything runs off the cached triples.
+    evaluation happens here; everything runs off the cached weights and
+    f values.
 
     Random-stream contract per round: one permutation of M indices, then k
     selection uniforms.

@@ -81,16 +81,9 @@ def exact_mixture_constants(spec, model, draws: int, rng):
 
 
 @pytest.fixture(scope="module")
-def mix2_setup():
-    spec = benchmark_mixture(2)
-    model = make_gaussian_mixture(spec)
-    return spec, model, mixture_test_function(spec), mixture_truth(spec)
-
-
-@pytest.fixture(scope="module")
-def constants2(mix2_setup):
+def constants2(mixture2):
     """Estimated weight constants for the two-dimensional benchmark."""
-    _, model, _, _ = mix2_setup
+    _, model, _, _ = mixture2
     rng = rng_for(100)
     kappa = estimate_kappa(model, 10 ** 6, rng)
     omega = estimate_omega(model, restarts=32, draws=10 ** 6, rng=rng)
@@ -98,9 +91,9 @@ def constants2(mix2_setup):
 
 
 @pytest.fixture(scope="module")
-def cold_chain_runs(mix2_setup):
+def cold_chain_runs(mixture2):
     """Recycled estimates of 10^4 cold-start chains for N in {8, 32, 128}."""
-    _, model, f, _ = mix2_setup
+    _, model, f, _ = mixture2
     runs = {}
     for tag, n in enumerate((8, 32, 128)):
         batch = run_chains(model, f, n_candidates=n, n_iters=20,
@@ -110,8 +103,8 @@ def cold_chain_runs(mix2_setup):
 
 
 class TestStationaryUnbiasedness:
-    def test_single_step_recycled_estimates_center_on_truth(self, mix2_setup):
-        _, model, f, truth = mix2_setup
+    def test_single_step_recycled_estimates_center_on_truth(self, mixture2):
+        _, model, f, truth = mixture2
         batch = run_chains(model, f, n_candidates=32, n_iters=1,
                            n_chains=10 ** 5, rng=rng_for(1), init="target")
         values = batch.recycled_estimates[:, 0]
@@ -122,9 +115,9 @@ class TestStationaryUnbiasedness:
 
 
 class TestPoolBiasBound:
-    def test_empirical_bias_under_closed_form_bound(self, mix2_setup,
-                                                    constants2, cold_chain_runs):
-        _, _, f, truth = mix2_setup
+    def test_empirical_bias_under_closed_form_bound(self, mixture2, constants2,
+                                                    cold_chain_runs):
+        _, _, f, truth = mixture2
         omega, kappa = constants2
         worst = -np.inf
         ok = True
@@ -142,9 +135,9 @@ class TestPoolBiasBound:
 
 
 class TestBiasDecayRate:
-    def test_fitted_decay_no_slower_than_theory(self, mix2_setup, constants2,
+    def test_fitted_decay_no_slower_than_theory(self, mixture2, constants2,
                                                 cold_chain_runs):
-        _, _, _, truth = mix2_setup
+        _, _, _, truth = mixture2
         omega, _ = constants2
         recycled = cold_chain_runs[32]
         bias = np.abs(recycled.mean(axis=0) - truth)
@@ -183,11 +176,10 @@ class TestFixedBudgetComparison:
             draws = model.propose(rng, take * (m + 1))
             lw = model.log_weight(draws).reshape(take, m + 1)
             fv = f(draws).reshape(take, m + 1)
-            points = draws.reshape(take, m + 1, -1)
-            # One bank per replication; column m is its reserved triple.
+            # One bank per replication; column m is its reserved entry.
             for i in range(take):
-                bank = CachedSampleBank(points[i, :m], lw[i, :m], fv[i, :m],
-                                        points[i, m], float(lw[i, m]), fv[i, m])
+                bank = CachedSampleBank(lw[i, :m], fv[i, :m], float(lw[i, m]),
+                                        fv[i, m])
                 snis_est[done + i] = snis_estimate(
                     WeightedSampleSet(bank.log_weights, bank.f_values))
                 br_est[done + i] = bootstrap_br_snis(bank, cfg, rounds, rng)
@@ -206,8 +198,8 @@ class TestFixedBudgetComparison:
 
 
 class TestSnisClosedFormBounds:
-    def test_bias_and_mse_under_bounds(self, mix2_setup, constants2):
-        _, model, f, truth = mix2_setup
+    def test_bias_and_mse_under_bounds(self, mixture2, constants2):
+        _, model, f, truth = mixture2
         _, kappa = constants2
         rng = rng_for(5)
         ok = True
@@ -229,9 +221,9 @@ class TestSnisClosedFormBounds:
 
 
 class TestHighProbabilityCoverage:
-    def test_deviation_bounds_cover_at_level(self, mix2_setup, constants2,
+    def test_deviation_bounds_cover_at_level(self, mixture2, constants2,
                                              gauss_student_1d):
-        _, model, f, truth = mix2_setup
+        _, model, f, truth = mixture2
         omega, kappa = constants2
         n, k, k0, delta = 32, 20, 10, 0.1
         batch = run_chains(model, f, n, k, 10 ** 4, rng_for(6))
@@ -300,8 +292,8 @@ class TestWeightConstantsReproduction:
 
 
 class TestKernelInvariants:
-    def test_insertion_retention_key_relation_duality(self, mix2_setup):
-        spec, model, f, _ = mix2_setup
+    def test_insertion_retention_key_relation_duality(self, mixture2):
+        spec, model, f, _ = mixture2
         rng = rng_for(9)
 
         slots = np.empty(10 ** 5, dtype=int)
@@ -378,8 +370,8 @@ class TestKernelInvariants:
 
 
 class TestSlicedWassersteinMixing:
-    def test_decay_and_pool_size_ordering(self, mix2_setup, constants2):
-        _, model, f, _ = mix2_setup
+    def test_decay_and_pool_size_ordering(self, mixture2, constants2):
+        _, model, f, _ = mixture2
         omega, kappa = constants2
         chains, groups = 4000, 6
         curves = {}

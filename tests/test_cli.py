@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from brsnis import cli
 from brsnis.cli import _write_outputs, main, replication_rng, seed_fingerprint
 
 
@@ -31,6 +32,39 @@ def experiment_config(tmp_path, **overrides):
     }
     payload.update(overrides)
     return write_config(tmp_path, payload)
+
+
+def sw_config(tmp_path, **diagnostic):
+    section = {"kind": "sw", "N": [4, 8], "k_max": 3, "chains": 200, "groups": 3,
+               "projections": 16}
+    section.update(diagnostic)
+    return write_config(tmp_path, {
+        "schema": 1,
+        "model": {"name": "gaussian-mixture", "dim": 2},
+        "omega": 18.0,
+        "kappa": 6.0,
+        "seed": 5,
+        "out": str(tmp_path / "sw.csv"),
+        "diagnostic": section,
+    })
+
+
+def tv_config(tmp_path, **diagnostic):
+    section = {"kind": "tv", "budgets": [16], "replications": 20, "test_points": 10,
+               "reference_draws": 20000, "N": 5}
+    section.update(diagnostic)
+    return write_config(tmp_path, {
+        "schema": 1,
+        "model": {"name": "logistic-synthetic", "dim": 3, "n_obs": 40,
+                  "data_seed": 1},
+        "seed": 9,
+        "out": str(tmp_path / "tv.csv"),
+        "diagnostic": section,
+    })
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("sampling started before the config check")
 
 
 class TestSeedSplitting:
@@ -150,16 +184,7 @@ class TestExperimentCommand:
 
 class TestDiagnoseCommand:
     def test_sliced_wasserstein_curves(self, tmp_path):
-        config = write_config(tmp_path, {
-            "schema": 1,
-            "model": {"name": "gaussian-mixture", "dim": 2},
-            "omega": 18.0,
-            "kappa": 6.0,
-            "seed": 5,
-            "out": str(tmp_path / "sw.csv"),
-            "diagnostic": {"kind": "sw", "N": [4, 8], "k_max": 3,
-                           "chains": 200, "groups": 3, "projections": 16},
-        })
+        config = sw_config(tmp_path)
         assert main(["diagnose", "--config", config]) == 0
         lines = (tmp_path / "sw.csv").read_text().splitlines()
         assert lines[0] == "diagnostic,N,k,value,se"
@@ -172,16 +197,7 @@ class TestDiagnoseCommand:
             assert entry["log_mixing_rate"] < 0
 
     def test_tv_ordering_fields(self, tmp_path):
-        config = write_config(tmp_path, {
-            "schema": 1,
-            "model": {"name": "logistic-synthetic", "dim": 3, "n_obs": 40,
-                      "data_seed": 1},
-            "seed": 9,
-            "out": str(tmp_path / "tv.csv"),
-            "diagnostic": {"kind": "tv", "budgets": [16], "replications": 20,
-                           "test_points": 10, "reference_draws": 20000,
-                           "N": 5},
-        })
+        config = tv_config(tmp_path)
         assert main(["diagnose", "--config", config]) == 0
         lines = (tmp_path / "tv.csv").read_text().splitlines()
         assert lines[0] == "diagnostic,estimator,M,replication,tv"
@@ -192,6 +208,28 @@ class TestDiagnoseCommand:
                     "tv_of_averaged_predictive_snis",
                     "tv_of_averaged_predictive_br"):
             assert 0.0 <= entry[key] <= 1.0
+
+    @pytest.mark.parametrize("diagnostic", [{"budgets": [18]}, {"replications": 0}],
+                             ids=["budget-not-split-by-pool", "no-replications"])
+    def test_tv_schedule_checked_before_sampling(self, tmp_path, monkeypatch,
+                                                 diagnostic):
+        """Budget 18 is not a multiple of N - 1 = 4, and zero replications
+        would average nothing; both are rejected before the reference draws."""
+        monkeypatch.setattr(cli, "logistic_predictive", fail_if_called)
+        config = tv_config(tmp_path, **diagnostic)
+        assert main(["diagnose", "--config", config]) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    @pytest.mark.parametrize("diagnostic", [{"groups": 1}, {"k_max": 2}],
+                             ids=["one-group", "too-few-iterations"])
+    def test_sw_section_checked_before_sampling(self, tmp_path, monkeypatch,
+                                                diagnostic):
+        """One group has no standard error, and k_max < 3 leaves too few
+        points to fit a rate; both are rejected before any chain runs."""
+        monkeypatch.setattr(cli, "resolve_constants", fail_if_called)
+        config = sw_config(tmp_path, **diagnostic)
+        assert main(["diagnose", "--config", config]) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_sw_requires_target_sampler(self, tmp_path):
         config = write_config(tmp_path, {
@@ -239,15 +277,35 @@ class TestExitCodes:
 class TestTraceHooks:
     """perfbench/tracer.py patches package names that must keep existing."""
 
-    def test_tracer_records_chain_and_bootstrap_spans(self, tmp_path):
+    @staticmethod
+    def span_names(tmp_path, experiments, tv_diagnostic=None):
+        """Span names from tiny experiments ``(estimator, grid point)`` and,
+        given its section overrides, a tiny ``diagnose tv`` run, all under
+        the benchmark's tracer."""
         tracer_mod = runpy.run_path(
             str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
         tracer = tracer_mod["Tracer"]()
         with tracer_mod["installed"](tracer):
-            for estimator in ("br-snis", "br-snis-bootstrap"):
+            for estimator, point in experiments:
                 config = experiment_config(tmp_path, estimator=estimator,
-                                           grid=[{"N": 5, "k": 6}],
-                                           replications=2, batch_size=1)
+                                           grid=[point], replications=2,
+                                           batch_size=1)
                 assert main(["experiment", "--config", config]) == 0
-        names = {span.name for span in tracer.spans}
-        assert {"isir.run_chain", "rolling.bootstrap_br_snis"} <= names
+            if tv_diagnostic is not None:
+                config = tv_config(tmp_path, **tv_diagnostic)
+                assert main(["diagnose", "--config", config]) == 0
+        return {span.name for span in tracer.spans}
+
+    def test_tracer_records_chain_and_bootstrap_spans(self, tmp_path):
+        names = self.span_names(tmp_path, [("br-snis", {"N": 5, "k": 6}),
+                                           ("br-snis-bootstrap", {"N": 5, "k": 6})])
+        assert {"isir.run_chain", "rolling.rolling_estimate",
+                "rolling.build_sample_bank", "rolling.bootstrap_br_snis"} <= names
+
+    def test_tracer_records_estimator_and_diagnostic_spans(self, tmp_path):
+        tv = {"replications": 2, "test_points": 4, "reference_draws": 2000}
+        names = self.span_names(tmp_path, [("snis", {"M": 32}),
+                                           ("isir-state", {"N": 5, "k": 6})], tv)
+        assert {"snis.snis_estimate", "isir.run_chain", "cli.run_replication",
+                "diagnostics.replication_stats", "rolling.build_sample_bank",
+                "diagnostics.tv_predictive"} <= names

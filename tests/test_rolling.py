@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from brsnis import (CachedSampleBank, ChainTrace, CountingModel,
+from brsnis import (CachedSampleBank, ChainConfig, ChainTrace, CountingModel,
                     DegenerateWeightsError, RollingConfig, TestFunction,
-                    bootstrap_br_snis, br_snis, build_sample_bank,
-                    rolling_estimate, run_chains)
+                    bootstrap_br_snis, build_sample_bank, rolling_estimate,
+                    run_chain, run_chains)
 
 
 def make_trace(recycled):
@@ -16,9 +16,9 @@ def make_trace(recycled):
 
 
 def flat_bank(log_weights, f_values, initial_log_weight, initial_f_value):
-    """A bank of one-dimensional zero points with the given triples."""
-    return CachedSampleBank(np.zeros((len(log_weights), 1)), log_weights, f_values,
-                            np.zeros(1), initial_log_weight, initial_f_value)
+    """A bank holding the given log weights and f values."""
+    return CachedSampleBank(log_weights, f_values, initial_log_weight,
+                            initial_f_value)
 
 
 def reference_replay(bank, cfg, rounds, rng):
@@ -67,28 +67,27 @@ class TestRollingEstimate:
             rolling_estimate(make_trace([1.0, 2.0]), -1)
 
     def test_config_derived_quantities(self):
-        cfg = RollingConfig(n_candidates=9, n_iters=4, burn_in=1)
-        assert cfg.budget == 32
-        assert cfg.kept_fraction == pytest.approx(0.75)
         with pytest.raises(ValueError):
             RollingConfig(9, 4, 4)
 
 
 class TestBrSnis:
+    """BR-SNIS as the CLI runs it: the burn-in average of a cold-start chain."""
+
     def test_budget_accounting(self, mixture2):
         """The chain consumes exactly (N - 1) k draws plus the initial one."""
         _, model, f, _ = mixture2
         counter = CountingModel(model)
-        cfg = RollingConfig(n_candidates=7, n_iters=5, burn_in=2)
-        br_snis(counter, f, cfg, np.random.default_rng(0))
-        assert counter.proposal_draws == cfg.budget + 1
+        n, k = 7, 5
+        trace = run_chain(counter, f, ChainConfig(n, k), np.random.default_rng(0))
+        rolling_estimate(trace, 2)
+        assert counter.proposal_draws == (n - 1) * k + 1
 
     def test_bounded_by_sup_bound(self, mixture2):
         _, model, f, _ = mixture2
         for seed in range(5):
-            value = br_snis(model, f, RollingConfig(5, 6, 3),
-                            np.random.default_rng(seed))
-            assert abs(value) <= f.sup_bound
+            trace = run_chain(model, f, ChainConfig(5, 6), np.random.default_rng(seed))
+            assert abs(rolling_estimate(trace, 3)) <= f.sup_bound
 
 
 class TestSampleBank:
@@ -103,8 +102,7 @@ class TestSampleBank:
 
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError):
-            CachedSampleBank(points=np.zeros((3, 1)), log_weights=np.zeros(2),
-                             f_values=np.zeros(3), initial_point=np.zeros(1),
+            CachedSampleBank(log_weights=np.zeros(2), f_values=np.zeros(3),
                              initial_log_weight=0.0, initial_f_value=0.0)
 
 
