@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -42,6 +42,8 @@ _REFERENCE_STREAM = 2 ** 31 + 1
 _DATA_STREAM = 2 ** 31 + 2
 
 ESTIMATORS = ("snis", "isir-state", "br-snis", "br-snis-bootstrap")
+MODELS = ("gaussian-mixture", "logistic-synthetic")
+DIAGNOSTICS = ("sw", "tv")
 
 
 class ConfigError(ValueError):
@@ -104,6 +106,76 @@ def load_config(path: str, overrides: Optional[list[str]] = None,
     return config
 
 
+# The config format: section -> key -> (type, default, least value).  A type is a
+# Python type, a list[...] of one or a tuple of allowed strings; None defaults allow null.
+REQUIRED = object()
+_COMMON_KEYS = {
+    "schema": (int, REQUIRED, 1), "model": (dict, REQUIRED, None), "seed": (int, 0, 0),
+    "omega": (float, None, None), "kappa": (float, None, None),
+    "estimate_draws": (int, 10 ** 6, 1), "estimate_restarts": (int, 32, 1)}
+CONFIG_KEYS = {
+    "bounds": {**_COMMON_KEYS, "grid": (list[dict], [], None), "out": (str, None, None)},
+    "experiment": {**_COMMON_KEYS, "estimator": (ESTIMATORS, "snis", None),
+                   "grid": (list[dict], REQUIRED, None), "replications": (int, 1, 1),
+                   "batch_size": (int, None, 1), "out": (str, REQUIRED, None)},
+    "diagnose": {**_COMMON_KEYS, "diagnostic": (dict, REQUIRED, None),
+                 "out": (str, REQUIRED, None)},
+    "grid": {"N": (int, None, 2), "k": (int, None, 1), "k0": (int, None, 0),
+             "rounds": (int, None, 1), "M": (int, None, 1)},
+    "gaussian-mixture": {"name": (MODELS, REQUIRED, None), "dim": (int, 2, 2)},
+    "logistic-synthetic": {
+        "name": (MODELS, REQUIRED, None), "dim": (int, 5, 1), "n_obs": (int, 200, 0),
+        "data_seed": (int, 0, 0), "prior_precision": (float, 5e-2, 0.0),
+        "theta_star": (list[float], None, None), "component": (int, 0, 0)},
+    "sw": {"kind": (DIAGNOSTICS, REQUIRED, None), "N": (list[int], [8, 32, 128], 2),
+           "k_max": (int, 10, 3), "chains": (int, 1000, 1), "groups": (int, 8, 2),
+           "projections": (int, 100, 1)},
+    "tv": {"kind": (DIAGNOSTICS, REQUIRED, None), "budgets": (list[int], [32, 512], 1),
+           "replications": (int, 1000, 1), "test_points": (int, 200, 1),
+           "reference_draws": (int, 10 ** 6, 1), "N": (int, 9, 2),
+           "N_large": (int, 33, 2)}}
+
+
+def _checked(where: str, value, kind, least):
+    """``value`` as a ``kind``, or ConfigError if it is not one or is below
+    ``least``.  An int also takes an integral float; true/false is no number."""
+    if get_args(kind) and isinstance(value, list):
+        return [_checked(where, item, get_args(kind)[0], least) for item in value]
+    if (kind is int and type(value) is float and value.is_integer()
+            or kind is float and type(value) is int):
+        value = kind(value)
+    if isinstance(kind, tuple) and value in kind or (
+            type(kind) is type and isinstance(value, kind) and type(value) is not bool
+            and (least is None or value >= least)):
+        return value
+    raise ConfigError(f"{where} must be {getattr(kind, '__name__', kind)}"
+                      f"{'' if least is None else f' >= {least}'}, not {value!r}")
+
+
+def read_section(name: str, section: dict) -> dict:
+    """``section`` checked against ``CONFIG_KEYS[name]``, absent keys set to their
+    defaults.  ConfigError for unknown keys and for REQUIRED ones absent or empty."""
+    keys = CONFIG_KEYS[name]
+    if set(section) - set(keys):
+        raise ConfigError(f"unknown {name} keys: {sorted(set(section) - set(keys))}")
+    out = {}
+    for key, (kind, default, least) in keys.items():
+        value = section.get(key, default)
+        if value is REQUIRED or (default is REQUIRED and not value):
+            raise ConfigError(f"{name} needs a non-empty {key}")
+        out[key] = (value if value is None and default is None
+                    else _checked(f"{name} {key}", value, kind, least))
+    return out
+
+
+def _read_named(where: str, section, key: str, names: tuple) -> dict:
+    """``section`` read against the key table that its ``key`` names."""
+    name = section.get(key) if isinstance(section, dict) else None
+    if name not in names:
+        raise ConfigError(f"{where} {key} must be one of {names}, not {name!r}")
+    return read_section(name, section)
+
+
 @dataclass
 class BuiltModel:
     """A resolved model plus analytic truth and benchmark test function."""
@@ -115,46 +187,39 @@ class BuiltModel:
 
 
 def build_model(section: dict) -> BuiltModel:
-    if not isinstance(section, dict) or "name" not in section:
-        raise ConfigError("model section must carry a name")
-    name = section["name"]
-    if name == "gaussian-mixture":
-        dim = int(section.get("dim", 2))
+    """The model a raw model section names, checked before its data draws."""
+    section = _read_named("model", section, "name", MODELS)
+    dim = section["dim"]
+    if section["name"] == "gaussian-mixture":
         spec = benchmark_mixture(dim)
         model = make_gaussian_mixture(spec)
         f = indicator_difference(spec.rect_a, spec.rect_b)
         return BuiltModel(model, f, mixture_truth(spec), f"gaussian-mixture-d{dim}")
-    if name == "logistic-synthetic":
-        dim = int(section.get("dim", 5))
-        n_obs = int(section.get("n_obs", 200))
-        data_seed = int(section.get("data_seed", 0))
-        prior_precision = float(section.get("prior_precision", 5e-2))
-        theta_star = section.get("theta_star")
-        if theta_star is None:
-            base = np.array([1.0, -1.0, 0.5, -0.5, 0.25])
-            theta_star = 1.5 * np.resize(base, dim)
-        theta_star = np.asarray(theta_star, dtype=float)
-        rng = _stream_rng(data_seed, _DATA_STREAM)
-        x, y = synthetic_logistic_data(rng, dim, n_obs, theta_star)
-        spec = LogisticPosteriorSpec(covariates=x, responses=y,
-                                     prior_precision=prior_precision)
-        model = make_logistic_posterior(spec)
-        component = int(section.get("component", 0))
-        f = TestFunction(fn=lambda pts, c=component: pts[:, c], sup_bound=50.0)
-        return BuiltModel(model, f, None, f"logistic-synthetic-d{dim}")
-    raise ConfigError(f"unknown model name '{name}'")
+    theta_star, component = section["theta_star"], section["component"]
+    if theta_star is None:
+        base = np.array([1.0, -1.0, 0.5, -0.5, 0.25])
+        theta_star = 1.5 * np.resize(base, dim)
+    elif len(theta_star) != dim:
+        raise ConfigError(f"theta_star needs dim = {dim} entries")
+    if component >= dim:
+        raise ConfigError(f"component must be below dim = {dim}")
+    rng = _stream_rng(section["data_seed"], _DATA_STREAM)
+    x, y = synthetic_logistic_data(rng, dim, section["n_obs"],
+                                   np.asarray(theta_star, dtype=float))
+    spec = LogisticPosteriorSpec(covariates=x, responses=y,
+                                 prior_precision=section["prior_precision"])
+    model = make_logistic_posterior(spec)
+    f = TestFunction(fn=lambda pts: pts[:, component], sup_bound=50.0)
+    return BuiltModel(model, f, None, f"logistic-synthetic-d{dim}")
 
 
 def resolve_constants(config: dict, built: BuiltModel) -> tuple[float, float, bool]:
     """Config-supplied (omega, kappa) or Monte Carlo estimates."""
-    omega = config.get("omega")
-    kappa = config.get("kappa")
+    omega, kappa = config["omega"], config["kappa"]
     estimated = omega is None or kappa is None
     if estimated:
-        seed = int(config.get("seed", 0))
-        rng = _stream_rng(seed, _CONSTANTS_STREAM)
-        draws = int(config.get("estimate_draws", 10 ** 6))
-        restarts = int(config.get("estimate_restarts", 32))
+        rng = _stream_rng(config["seed"], _CONSTANTS_STREAM)
+        draws, restarts = config["estimate_draws"], config["estimate_restarts"]
         if kappa is None:
             kappa = estimate_kappa(built.model, draws, rng)
         if omega is None:
@@ -168,20 +233,15 @@ def resolve_constants(config: dict, built: BuiltModel) -> tuple[float, float, bo
 
 
 def _normalize_grid_point(estimator: str, point: dict) -> dict:
-    if not isinstance(point, dict):
-        raise ConfigError("grid entries must be objects")
-    out = {"N": None, "k": None, "k0": None, "rounds": None, "M": None}
-    out.update({key: point[key] for key in point if key in out})
-    if estimator == "snis":
-        if not out["M"]:
-            raise ConfigError("snis grid entries need M")
-    else:
+    out = read_section("grid", point)
+    needed = "M" if estimator == "snis" else "N"
+    if out[needed] is None:
+        raise ConfigError(f"{estimator} grid entries need {needed}")
+    if estimator != "snis":
         n, k = out["N"], out["k"]
-        if not n or n < 2:
-            raise ConfigError(f"{estimator} grid entries need N >= 2")
-        if not k:
-            if not out["M"] or out["M"] % (n - 1):
-                raise ConfigError("grid entries need k, or M divisible by N - 1")
+        if k is None:
+            if out["M"] is None or out["M"] % (n - 1):
+                raise ConfigError(f"need k, or M={out['M']} divisible by N - 1 = {n - 1}")
             k = out["k"] = out["M"] // (n - 1)
         declared = (n - 1) * k
         if out["M"] is not None and out["M"] != declared:
@@ -189,10 +249,10 @@ def _normalize_grid_point(estimator: str, point: dict) -> dict:
         out["M"] = declared
         if out["k0"] is None:
             out["k0"] = k - 1 if estimator == "br-snis-bootstrap" else 0
-        if not 0 <= out["k0"] < k:
+        if out["k0"] >= k:
             raise ConfigError("k0 must lie in [0, k)")
-        if estimator == "br-snis-bootstrap" and not out["rounds"]:
-            out["rounds"] = out["M"] // (n - 1)
+        if estimator == "br-snis-bootstrap" and out["rounds"] is None:
+            out["rounds"] = k
     return out
 
 
@@ -211,12 +271,10 @@ def run_replication(estimator: str, built: BuiltModel, point: dict,
             estimate = rolling_estimate(trace, point["k0"])
         else:
             estimate = float(np.mean(f(trace.states[point["k0"] + 1:])))
-    elif estimator == "br-snis-bootstrap":
+    else:
         bank = build_sample_bank(counter, f, point["M"], rng)
         cfg = RollingConfig(point["N"], point["k"], point["k0"])
         estimate = bootstrap_br_snis(bank, cfg, point["rounds"], rng)
-    else:
-        raise ConfigError(f"unknown estimator '{estimator}'")
     return float(estimate), counter.proposal_draws
 
 
@@ -252,30 +310,27 @@ def _point_bounds(estimator: str, point: dict, omega: float, kappa: float,
 
 
 def cmd_bounds(config: dict) -> int:
+    config = read_section("bounds", config)
+    grid = [read_section("grid", point) for point in config["grid"]]
+    if any(point["N"] is None for point in grid):
+        raise ConfigError("bounds grid entries need N")
     built = build_model(config["model"])
     omega, kappa, estimated = resolve_constants(config, built)
-    grid = config.get("grid", [])
     entries = []
     for point in grid:
-        n = point.get("N")
-        if n is None:
-            raise ConfigError("bounds grid entries need N")
-        consts = bounds_mod.bound_constants(max(omega, 1.0), max(kappa, 1.0), int(n))
+        k, k0, m = point["k"], point["k0"] or 0, point["M"]
+        consts = bounds_mod.bound_constants(max(omega, 1.0), max(kappa, 1.0), point["N"])
         entry = consts.as_dict()
-        k = point.get("k")
-        k0 = point.get("k0", 0)
-        if k:
-            entry["pool_bias_bound"] = bounds_mod.pool_bias_bound(consts, int(k))
+        if k is not None:
+            entry["pool_bias_bound"] = bounds_mod.pool_bias_bound(consts, k)
             entry["pool_mse_bound"] = bounds_mod.pool_mse_bound(consts)
-            entry["rolling_bias_bound"] = bounds_mod.rolling_bias_bound(
-                consts, int(k0), int(k))
-            entry["rolling_mse_bound"] = bounds_mod.rolling_mse_bound(
-                consts, int(k0), int(k))
+            entry["rolling_bias_bound"] = bounds_mod.rolling_bias_bound(consts, k0, k)
+            entry["rolling_mse_bound"] = bounds_mod.rolling_mse_bound(consts, k0, k)
             entry["rolling_hpd_bound_delta_0.1"] = bounds_mod.rolling_hpd_bound(
-                consts, 0.1, int(k0), int(k))
-        if point.get("M"):
-            entry["snis_bias_bound"] = snis_bias_bound(kappa, int(point["M"]))
-            entry["snis_mse_bound"] = snis_mse_bound(kappa, int(point["M"]))
+                consts, 0.1, k0, k)
+        if m is not None:
+            entry["snis_bias_bound"] = snis_bias_bound(kappa, m)
+            entry["snis_mse_bound"] = snis_mse_bound(kappa, m)
         entries.append(entry)
     payload = {
         "model": built.label,
@@ -310,54 +365,42 @@ def _write_outputs(out_path: str, lines: list[str], summary: dict):
             raise
 
 
-def cmd_experiment(config: dict, threads: int) -> int:
-    replications = int(config.get("replications", 1))
-    batch_size = int(config.get("batch_size", replications))
-    if replications < 1:
-        raise ConfigError("replications must be at least 1")
-    if batch_size < 1 or replications % batch_size:
-        raise ConfigError("batch_size must divide the number of replications")
-    built = build_model(config["model"])
-    estimator = config.get("estimator", "snis")
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"estimator must be one of {ESTIMATORS}")
-    grid = [_normalize_grid_point(estimator, p) for p in config.get("grid", [])]
-    if not grid:
-        raise ConfigError("experiment needs a non-empty grid")
-    seed = int(config.get("seed", 0))
-    out_path = config.get("out")
-    if not out_path:
-        raise ConfigError("experiment needs an output path")
-    omega, kappa, estimated = resolve_constants(config, built)
+def _replicate(seed: int, grid_index: int, replications: int, threads: int, job) -> list:
+    """``job(rng)`` for each replication of one grid point, in replication order."""
+    rngs = [replication_rng(seed, grid_index, r) for r in range(replications)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(job, rngs))
+    return [job(rng) for rng in rngs]
 
-    def one(args):
-        grid_index, replication = args
-        rng = replication_rng(seed, grid_index, replication)
-        return run_replication(estimator, built, grid[grid_index], rng)
+
+def cmd_experiment(config: dict, threads: int) -> int:
+    config = read_section("experiment", config)
+    estimator, seed, replications = (config["estimator"], config["seed"],
+                                     config["replications"])
+    batch_size = config["batch_size"] or replications
+    if replications % batch_size:
+        raise ConfigError("batch_size must divide the number of replications")
+    grid = [_normalize_grid_point(estimator, p) for p in config["grid"]]
+    built = build_model(config["model"])
+    omega, kappa, estimated = resolve_constants(config, built)
 
     rows = []
     summary_points = []
     for grid_index, point in enumerate(grid):
-        jobs = [(grid_index, r) for r in range(replications)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one, jobs))
-        else:
-            results = [one(job) for job in jobs]
+        results = _replicate(seed, grid_index, replications, threads,
+                             lambda rng: run_replication(estimator, built, point, rng))
         estimates = np.array([r[0] for r in results])
         draw_counts = sorted({r[1] for r in results})
         for replication, (estimate, _) in enumerate(results):
             rows.append(_format_row([
-                replication, estimator, point["N"] or "", point["k"] or "",
-                point["k0"] if point["k0"] is not None else "",
-                point["rounds"] or "", point["M"],
+                replication, estimator, *("" if v is None else v for v in point.values()),
                 seed_fingerprint(seed, grid_index, replication), estimate,
             ]))
         entry = {
             "estimator": estimator,
             "grid_index": grid_index,
-            "N": point["N"], "k": point["k"], "k0": point["k0"],
-            "rounds": point["rounds"], "M": point["M"],
+            **point,
             "replications": replications,
             "proposal_draws_per_replication": draw_counts,
             "mean_estimate": float(estimates.mean()),
@@ -385,38 +428,29 @@ def cmd_experiment(config: dict, threads: int) -> int:
         "constants_estimated": estimated,
         "points": summary_points,
     }
-    _write_outputs(out_path, [header] + rows, summary)
+    _write_outputs(config["out"], [header] + rows, summary)
     return 0
 
 
 def _diagnose_sw(config: dict, built: BuiltModel, section: dict) -> tuple[list[str], dict]:
     if built.model.target_sample is None:
         raise ConfigError("sliced Wasserstein diagnostics need an exact target sampler")
-    seed = int(config.get("seed", 0))
-    n_grid = [int(n) for n in section.get("N", [8, 32, 128])]
-    k_max = int(section.get("k_max", 10))
-    chains = int(section.get("chains", 1000))
-    groups = int(section.get("groups", 8))
-    n_projections = int(section.get("projections", 100))
-    if groups < 2:
-        raise ConfigError("sw diagnostics need groups >= 2 for a standard error")
-    if k_max < 3:
-        raise ConfigError("sw diagnostics need k_max >= 3 to fit a rate")
+    seed, k_max, groups = config["seed"], section["k_max"], section["groups"]
     omega, kappa, _ = resolve_constants(config, built)
     rows = []
     summary = {"per_n": []}
-    for gi, n in enumerate(n_grid):
+    for gi, n in enumerate(section["N"]):
         rng = replication_rng(seed, gi, 0)
         sw_by_k = np.empty((groups, k_max + 1))
         for group in range(groups):
-            batch = run_chains(built.model, built.f, n, k_max, chains, rng,
+            batch = run_chains(built.model, built.f, n, k_max, section["chains"], rng,
                                init="proposal", keep_states=True)
-            reference = built.model.target_sample(rng, chains)
+            reference = built.model.target_sample(rng, section["chains"])
             for k in range(k_max + 1):
                 proj_rng = np.random.default_rng(
                     np.random.SeedSequence([seed, _REFERENCE_STREAM, gi, k]))
                 sw_by_k[group, k] = sliced_wasserstein(
-                    batch.states[:, k], reference, n_projections, proj_rng)
+                    batch.states[:, k], reference, section["projections"], proj_rng)
         means = sw_by_k.mean(axis=0)
         ses = sw_by_k.std(axis=0, ddof=1) / np.sqrt(groups)
         for k in range(k_max + 1):
@@ -439,28 +473,16 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
     return [header] + rows, summary
 
 
-def _diagnose_tv(config: dict, built: BuiltModel, section: dict) -> tuple[list[str], dict]:
-    seed = int(config.get("seed", 0))
-    budgets = [int(m) for m in section.get("budgets", [32, 512])]
-    replications = int(section.get("replications", 1000))
-    n_test = int(section.get("test_points", 200))
-    reference_draws = int(section.get("reference_draws", 10 ** 6))
-    if replications < 1:
-        raise ConfigError("replications must be at least 1")
-    n_small, n_large = int(section.get("N", 9)), int(section.get("N_large", 33))
-    schedule = []
-    for m in budgets:
-        try:
-            schedule.append(_normalize_grid_point(
-                "br-snis-bootstrap", {"N": n_small if m <= 64 else n_large, "M": m}))
-        except ConfigError as exc:
-            raise ConfigError(f"tv budget {m}: {exc}") from None
+def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
+                 threads: int) -> tuple[list[str], dict]:
+    seed, replications, n_test = (config["seed"], section["replications"],
+                                  section["test_points"])
     model = built.model
     data_rng = _stream_rng(seed, _DATA_STREAM)
     x_test = data_rng.standard_normal((n_test, model.dim))
 
     ref_rng = _stream_rng(seed, _REFERENCE_STREAM)
-    ref_points = model.propose(ref_rng, reference_draws)
+    ref_points = model.propose(ref_rng, section["reference_draws"])
     ref_weights = WeightedSampleSet(model.log_weight(ref_points),
                                     logistic_predictive(ref_points, x_test))
     reference = snis_estimate(ref_weights)
@@ -469,18 +491,21 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
                               sup_bound=1.0)
     rows = []
     summary = {"per_budget": []}
-    for gi, point in enumerate(schedule):
+    for gi, point in enumerate(section["schedule"]):
         m, n, k, rounds = point["M"], point["N"], point["k"], point["rounds"]
         cfg = RollingConfig(n, k, point["k0"])
+
+        def one(rng):
+            bank = build_sample_bank(model, predictive, m, rng)
+            return (snis_estimate(WeightedSampleSet(bank.log_weights, bank.f_values)),
+                    bootstrap_br_snis(bank, cfg, rounds, rng))
+
         snis_sum = np.zeros(n_test)
         br_sum = np.zeros(n_test)
         tv_snis = np.empty(replications)
         tv_br = np.empty(replications)
-        for r in range(replications):
-            rng = replication_rng(seed, gi, r)
-            bank = build_sample_bank(model, predictive, m, rng)
-            p_snis = snis_estimate(WeightedSampleSet(bank.log_weights, bank.f_values))
-            p_br = bootstrap_br_snis(bank, cfg, rounds, rng)
+        for r, (p_snis, p_br) in enumerate(_replicate(seed, gi, replications, threads,
+                                                      one)):
             snis_sum += p_snis
             br_sum += p_br
             tv_snis[r] = tv_predictive(PredictiveTable(np.clip(p_snis, 0, 1), reference))
@@ -501,26 +526,21 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
     return [header] + rows, summary
 
 
-def cmd_diagnose(config: dict) -> int:
-    built = build_model(config["model"])
-    section = config.get("diagnostic")
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError("diagnose needs a diagnostic section with a kind")
-    out_path = config.get("out")
-    if not out_path:
-        raise ConfigError("diagnose needs an output path")
-    kind = section["kind"]
-    if kind == "sw":
-        lines, summary = _diagnose_sw(config, built, section)
-    elif kind == "tv":
+def cmd_diagnose(config: dict, threads: int) -> int:
+    config = read_section("diagnose", config)
+    section = _read_named("diagnostic", config["diagnostic"], "kind", DIAGNOSTICS)
+    if section["kind"] == "tv":
         if config["model"].get("name") != "logistic-synthetic":
             raise ConfigError("tv diagnostics need the logistic-synthetic model")
-        lines, summary = _diagnose_tv(config, built, section)
-    else:
-        raise ConfigError(f"unknown diagnostic kind '{kind}'")
+        section["schedule"] = [_normalize_grid_point("br-snis-bootstrap", {
+            "N": section["N"] if m <= 64 else section["N_large"], "M": m})
+            for m in section["budgets"]]
+    built = build_model(config["model"])
+    lines, summary = (_diagnose_sw(config, built, section) if section["kind"] == "sw"
+                      else _diagnose_tv(config, built, section, threads))
     summary["model"] = built.label
-    summary["kind"] = kind
-    _write_outputs(out_path, lines, summary)
+    summary["kind"] = section["kind"]
+    _write_outputs(config["out"], lines, summary)
     return 0
 
 
@@ -563,7 +583,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_bounds(config)
         if args.command == "experiment":
             return cmd_experiment(config, max(1, args.threads))
-        return cmd_diagnose(config)
+        return cmd_diagnose(config, max(1, args.threads))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,18 @@
 """CLI subcommands: config handling, determinism, budgets, exit codes."""
 
 import json
+import os
 import runpy
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from brsnis import cli
 from brsnis.cli import _write_outputs, main, replication_rng, seed_fingerprint
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -49,14 +53,14 @@ def sw_config(tmp_path, **diagnostic):
     })
 
 
-def tv_config(tmp_path, **diagnostic):
+def tv_config(tmp_path, model=None, **diagnostic):
     section = {"kind": "tv", "budgets": [16], "replications": 20, "test_points": 10,
                "reference_draws": 20000, "N": 5}
     section.update(diagnostic)
     return write_config(tmp_path, {
         "schema": 1,
         "model": {"name": "logistic-synthetic", "dim": 3, "n_obs": 40,
-                  "data_seed": 1},
+                  "data_seed": 1, **(model or {})},
         "seed": 9,
         "out": str(tmp_path / "tv.csv"),
         "diagnostic": section,
@@ -65,6 +69,12 @@ def tv_config(tmp_path, **diagnostic):
 
 def fail_if_called(*args, **kwargs):
     raise AssertionError("sampling started before the config check")
+
+
+def forbid_sampling(monkeypatch):
+    """Make every call that draws from a generator in the CLI fail."""
+    for name in ("_stream_rng", "replication_rng"):
+        monkeypatch.setattr(cli, name, fail_if_called)
 
 
 class TestSeedSplitting:
@@ -174,6 +184,34 @@ class TestExperimentCommand:
                                    grid=[{"N": 5, "k": 6, "M": 99}])
         assert main(["experiment", "--config", config]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"replication": 50},
+        {"grid": [{"M": 64, "k_0": 1}]},
+        {"replications": "12"},
+        {"model": {"name": "gaussian-mixture", "dim": True}},
+        {"model": {"name": "gaussian-mixture", "dim": 7.5}},
+        {"model": {"name": "gaussian-mixture", "dim": 2, "n_obs": 10}},
+        {"estimator": "br-snis", "grid": [{"N": 1, "k": 4}]},
+        {"out": ""},
+    ], ids=["top-level-typo", "grid-typo", "string-count", "boolean-dim",
+            "fractional-dim", "unknown-model-key", "one-candidate", "empty-out"])
+    def test_config_checked_before_sampling(self, tmp_path, monkeypatch, overrides):
+        """Unknown keys, wrong types and values below their least value exit 2
+        before any draw; a mistyped ``replication`` used to run one
+        replication and exit 0."""
+        forbid_sampling(monkeypatch)
+        config = experiment_config(tmp_path, **overrides)
+        assert main(["experiment", "--config", config]) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        """``1e6``-style counts are converted to integers, as before."""
+        config = experiment_config(tmp_path, replications=4.0, batch_size=2.0,
+                                   grid=[{"M": 64.0}])
+        assert main(["experiment", "--config", config]) == 0
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert len(lines) == 5 and lines[1].split(",")[6] == "64"
+
     def test_batch_size_checked_before_sampling(self, tmp_path):
         """The config error comes before the constants' 10^6 draws."""
         config = experiment_config(tmp_path, replications=10, batch_size=3,
@@ -209,27 +247,48 @@ class TestDiagnoseCommand:
                     "tv_of_averaged_predictive_br"):
             assert 0.0 <= entry[key] <= 1.0
 
-    @pytest.mark.parametrize("diagnostic", [{"budgets": [18]}, {"replications": 0}],
-                             ids=["budget-not-split-by-pool", "no-replications"])
+    @pytest.mark.parametrize("model, diagnostic", [
+        ({}, {"budgets": [18]}),
+        ({}, {"replications": 0}),
+        ({}, {"test_points": 0}),
+        ({}, {"reference_draws": 0}),
+        ({"component": 3}, {}),
+        ({"theta_star": [1.0, 2.0]}, {}),
+    ], ids=["budget-not-split-by-pool", "no-replications", "no-test-points",
+            "no-reference-draws", "component-not-below-dim", "theta-star-length"])
     def test_tv_schedule_checked_before_sampling(self, tmp_path, monkeypatch,
-                                                 diagnostic):
-        """Budget 18 is not a multiple of N - 1 = 4, and zero replications
-        would average nothing; both are rejected before the reference draws."""
-        monkeypatch.setattr(cli, "logistic_predictive", fail_if_called)
-        config = tv_config(tmp_path, **diagnostic)
+                                                 model, diagnostic):
+        """Budget 18 is not a multiple of N - 1 = 4, zero replications, test
+        points or reference draws leave nothing to average, and a component or
+        theta_star outside the dim = 3 model cannot be used; all are rejected
+        before the model draws its data."""
+        forbid_sampling(monkeypatch)
+        config = tv_config(tmp_path, model, **diagnostic)
         assert main(["diagnose", "--config", config]) == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
-    @pytest.mark.parametrize("diagnostic", [{"groups": 1}, {"k_max": 2}],
-                             ids=["one-group", "too-few-iterations"])
+    @pytest.mark.parametrize("diagnostic", [{"groups": 1}, {"k_max": 2},
+                                            {"projections": 0}, {"N": [4, 1]}],
+                             ids=["one-group", "too-few-iterations", "no-projections",
+                                  "one-candidate"])
     def test_sw_section_checked_before_sampling(self, tmp_path, monkeypatch,
                                                 diagnostic):
-        """One group has no standard error, and k_max < 3 leaves too few
-        points to fit a rate; both are rejected before any chain runs."""
-        monkeypatch.setattr(cli, "resolve_constants", fail_if_called)
+        """One group has no standard error, k_max < 3 leaves too few points to
+        fit a rate, no projections average nothing and a pool needs two
+        candidates; all are rejected before any chain runs."""
+        forbid_sampling(monkeypatch)
         config = sw_config(tmp_path, **diagnostic)
         assert main(["diagnose", "--config", config]) == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_tv_output_identical_across_thread_counts(self, tmp_path):
+        config = tv_config(tmp_path, replications=6)
+        outputs = []
+        for threads in ("1", "2"):
+            assert main(["diagnose", "--config", config, "--threads", threads]) == 0
+            outputs.append([(tmp_path / name).read_bytes()
+                            for name in ("tv.csv", "tv.csv.summary.json")])
+        assert outputs[0] == outputs[1]
 
     def test_sw_requires_target_sampler(self, tmp_path):
         config = write_config(tmp_path, {
@@ -274,6 +333,40 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestShippedInputs:
+    """Every shipped config and every benchmark workload passes the checks of
+    its subcommand.  The first draw is stopped, so nothing is sampled; a key
+    the checks rejected would fail every benchmark operation."""
+
+    COMMANDS = {"logistic_tv.json": "diagnose", "mixture_bounds.json": "bounds",
+                "mixture_fixed_budget.json": "experiment",
+                "mixture_snis_baseline.json": "experiment",
+                "mixture_sw_mixing.json": "diagnose"}
+
+    @staticmethod
+    def stopped_at_first_draw(monkeypatch, capsys, argv):
+        with monkeypatch.context() as patch:
+            forbid_sampling(patch)
+            assert main(argv) == 3
+        assert capsys.readouterr().err == \
+            "runtime error: sampling started before the config check\n"
+
+    def test_shipped_configs(self, monkeypatch, capsys):
+        configs = sorted((ROOT / "configs").glob("*.json"))
+        assert [path.name for path in configs] == sorted(self.COMMANDS)
+        for path in configs:
+            self.stopped_at_first_draw(monkeypatch, capsys,
+                                       [self.COMMANDS[path.name], "--config", str(path)])
+
+    def test_benchmark_workloads(self, tmp_path, monkeypatch, capsys):
+        with mock.patch.dict(os.environ):  # run.py pins the BLAS thread variables
+            workloads = runpy.run_path(str(ROOT / "perfbench" / "run.py"))["WORKLOADS"]
+        assert workloads
+        for workload in workloads.values():
+            self.stopped_at_first_draw(monkeypatch, capsys,
+                                       workload.argv(1001, tmp_path / "out.csv"))
+
+
 class TestTraceHooks:
     """perfbench/tracer.py patches package names that must keep existing."""
 
@@ -282,8 +375,7 @@ class TestTraceHooks:
         """Span names from tiny experiments ``(estimator, grid point)`` and,
         given its section overrides, a tiny ``diagnose tv`` run, all under
         the benchmark's tracer."""
-        tracer_mod = runpy.run_path(
-            str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"))
+        tracer_mod = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
         tracer = tracer_mod["Tracer"]()
         with tracer_mod["installed"](tracer):
             for estimator, point in experiments:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import log_weights, outcome
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from brsnis import (ChainConfig, DegenerateWeightsError, ModelSpec, TestFunction,
                     WeightedSampleSet, categorical_draw, isir_step,
-                    key_relation_check, run_chain,
+                    key_relation_check, normalize_weights, run_chain,
                     run_chains, sliced_wasserstein, snis_estimate)
 
 
@@ -29,6 +32,37 @@ def constant_weight_model(dim=1):
 
 def unit_function(dim=1):
     return TestFunction(fn=lambda pts: np.ones(len(pts)), sup_bound=1.0)
+
+
+@st.composite
+def table_models(draw):
+    """``(model, f, finite)``: each proposal draw is an index into a table of
+    ``log_weights`` and of f values in [-1, 1]."""
+    lw, finite = draw(log_weights(draw(st.integers(1, 12))))
+    fv = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-1, 1, len(lw))
+    model = ModelSpec(dim=1, log_weight=lambda x: lw[x[:, 0].astype(int)],
+                      propose=lambda rng, n: rng.integers(len(lw), size=(n, 1)) * 1.0)
+    return model, TestFunction(fn=lambda x: fv[x[:, 0].astype(int)], sup_bound=1.0), finite
+
+
+def per_pool_replay(model, f, n, k, chains, rng):
+    """``run_chains``' stream replayed one pool at a time with
+    ``normalize_weights``: the initial states, then per step every chain's
+    N - 1 proposals and one uniform per chain."""
+    y = model.propose(rng, chains)
+    state_lw, state_f = model.log_weight(y), f(y)
+    recycled = np.empty((chains, k))
+    for step in range(k):
+        fresh = model.propose(rng, chains * (n - 1)).reshape(chains, n - 1, -1)
+        us = rng.random(chains)
+        for c in range(chains):
+            lw = np.append(state_lw[c], model.log_weight(fresh[c]))
+            fv = np.append(state_f[c], f(fresh[c]))
+            w = normalize_weights(lw)
+            recycled[c, step] = w @ fv
+            pick = min(int(np.searchsorted(np.cumsum(w), us[c], side="left")), n - 1)
+            state_lw[c], state_f[c] = lw[pick], fv[pick]
+    return recycled
 
 
 class TestCategoricalDraw:
@@ -250,6 +284,21 @@ class TestRunChains:
             for i in range(12)
         ])
         assert sw_chain <= null.mean() + 4.0 * null.std(ddof=1) + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(table_models(), st.integers(2, 6), st.integers(1, 5), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_pool_replay_any_spread(self, case, n, k, chains, seed):
+        """Any log-weight spread, lone finite entries included, gives every
+        pool's normalize_weights estimate, or the same degenerate pool."""
+        model, f, finite = case
+        fast, slow = (outcome(run, model, f, n, k, chains, np.random.default_rng(seed))
+                      for run in (run_chains, per_pool_replay))
+        if finite == "none" or isinstance(slow, str):
+            assert (fast, slow) == ("degenerate", "degenerate")
+        else:
+            np.testing.assert_allclose(fast.recycled_estimates, slow,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestKeyRelation:

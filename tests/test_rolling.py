@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import log_weights, outcome
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brsnis import (CachedSampleBank, ChainConfig, ChainTrace, CountingModel,
                     DegenerateWeightsError, RollingConfig, TestFunction,
-                    bootstrap_br_snis, build_sample_bank, rolling_estimate,
-                    run_chain, run_chains)
+                    bootstrap_br_snis, build_sample_bank, normalize_weights,
+                    rolling_estimate, run_chain, run_chains)
 
 
 def make_trace(recycled):
@@ -26,7 +29,8 @@ def reference_replay(bank, cfg, rounds, rng):
 
     Same stream contract as the library: per round one permutation of the
     bank, then one selection uniform per iteration.  Every pool is shifted
-    by its own max log weight.
+    by its own max log weight, so a pool with no finite log weight raises
+    DegenerateWeightsError.
     """
     n, k, k0 = cfg.n_candidates, cfg.n_iters, cfg.burn_in
     state_lw, state_f = bank.initial_log_weight, bank.initial_f_value
@@ -39,8 +43,7 @@ def reference_replay(bank, cfg, rounds, rng):
             idx = perm[step * (n - 1):(step + 1) * (n - 1)]
             lw = np.append(bank.log_weights[idx], state_lw)
             fv = np.append(bank.f_values[idx], state_f)
-            w = np.exp(lw - lw.max())
-            w /= w.sum()
+            w = normalize_weights(lw)
             if step >= k0:
                 kept.append(float(w @ fv))
             # state first in the cumulative ordering, segment afterwards
@@ -51,6 +54,18 @@ def reference_replay(bank, cfg, rounds, rng):
             state_lw, state_f = lw[pick], fv[pick]
         round_values.append(np.mean(kept))
     return float(np.mean(round_values))
+
+
+@st.composite
+def spread_banks(draw):
+    """``(bank, cfg, rounds, seed, finite)`` over the log weights of
+    ``log_weights``, the initial entry first, and f values in [-1, 1]."""
+    n, k = draw(st.integers(2, 6)), draw(st.integers(1, 5))
+    cfg = RollingConfig(n, k, draw(st.integers(0, k - 1)))
+    lw, finite = draw(log_weights((n - 1) * k + 1))
+    fv = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-1, 1, len(lw))
+    return (flat_bank(lw[1:], fv[1:], lw[0], fv[0]), cfg, draw(st.integers(1, 3)),
+            draw(st.integers(0, 2 ** 32 - 1)), finite)
 
 
 class TestRollingEstimate:
@@ -144,6 +159,19 @@ class TestBootstrap:
         with pytest.raises(DegenerateWeightsError):
             bootstrap_br_snis(bank, RollingConfig(3, 4, 0), rounds=4,
                               rng=np.random.default_rng(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(spread_banks())
+    def test_matches_reference_replay_any_spread(self, case):
+        """Any log-weight spread, lone finite entries included, gives the
+        per-pool-shifted reference's value, or the same degenerate pool."""
+        bank, cfg, rounds, seed, finite = case
+        fast, slow = (outcome(replay, bank, cfg, rounds, np.random.default_rng(seed))
+                      for replay in (bootstrap_br_snis, reference_replay))
+        if finite == "none" or slow == "degenerate":
+            assert fast == slow == "degenerate"
+        else:
+            assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
     def test_single_round_equals_one_replayed_chain(self, mixture2):
         _, model, f, _ = mixture2
