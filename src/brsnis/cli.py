@@ -314,6 +314,8 @@ def cmd_bounds(config: dict) -> int:
     grid = [read_section("grid", point) for point in config["grid"]]
     if any(point["N"] is None for point in grid):
         raise ConfigError("bounds grid entries need N")
+    if any(point["k"] is not None and (point["k0"] or 0) >= point["k"] for point in grid):
+        raise ConfigError("k0 must lie in [0, k)")
     built = build_model(config["model"])
     omega, kappa, estimated = resolve_constants(config, built)
     entries = []

@@ -203,26 +203,15 @@ def benchmark_mixture(dim: int) -> MixtureSpec:
     )
 
 
-def _student_logpdf(points: np.ndarray, dof: float) -> np.ndarray:
-    # Centered multivariate Student with identity scale.
-    n, dim = points.shape
-    sq = np.einsum("ij,ij->i", points, points)
-    const = (
-        gammaln((dof + dim) / 2.0)
-        - gammaln(dof / 2.0)
-        - 0.5 * dim * np.log(dof * np.pi)
-    )
-    return const - 0.5 * (dof + dim) * np.log1p(sq / dof)
-
-
-def _mixture_logpdf(points: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    dim = spec.dim
-    log_norm = -0.5 * dim * np.log(2.0 * np.pi * spec.cov_scale)
-    comp = np.empty((2, len(points)))
-    for j, mass in enumerate((spec.weight, 1.0 - spec.weight)):
-        sq = ((points - spec.means[j]) ** 2).sum(axis=1)
-        comp[j] = np.log(mass) + log_norm - sq / (2.0 * spec.cov_scale)
-    return logsumexp(comp, axis=0)
+def _log_add_exp(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """log(exp(c0) + exp(c1)) by the arithmetic of scipy 1.17's ``logsumexp``
+    over two rows, so bit for bit its result: hi + log1p(exp(lo - hi)), and
+    hi + log(2) on a tie.  Two equal infinities give that infinity."""
+    hi = np.maximum(c0, c1)
+    lo = np.minimum(c0, c1)
+    # 0 on a tie: log1p(exp(0)) is log(2) exactly, and no inf - inf is taken.
+    gap = np.subtract(lo, hi, out=np.zeros(hi.shape), where=lo < hi)
+    return hi + np.log1p(np.exp(gap))
 
 
 def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
@@ -237,10 +226,20 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
     dim = spec.dim
     dof = spec.student_dof
     sd = np.sqrt(spec.cov_scale)
+    two_var = 2.0 * spec.cov_scale
+    log_norm = -0.5 * dim * np.log(2.0 * np.pi * spec.cov_scale)
+    comp_consts = [np.log(mass) + log_norm for mass in (spec.weight, 1.0 - spec.weight)]
+    # Normalizer of the centered multivariate Student with identity scale.
+    student_const = (gammaln((dof + dim) / 2.0) - gammaln(dof / 2.0)
+                     - 0.5 * dim * np.log(dof * np.pi))
 
     def log_weight(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _mixture_logpdf(points, spec) - _student_logpdf(points, dof)
+        c0, c1 = (const - ((points - mean) ** 2).sum(axis=1) / two_var
+                  for const, mean in zip(comp_consts, spec.means))
+        sq = np.einsum("ij,ij->i", points, points)
+        student = student_const - 0.5 * (dof + dim) * np.log1p(sq / dof)
+        return _log_add_exp(c0, c1) - student
 
     def propose(rng, n):
         z = rng.standard_normal((n, dim))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .isir import ChainTrace
 from .model import ModelSpec, TestFunction
-from .snis import normalize_weights
+from .snis import DegenerateWeightsError, normalize_weights
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
@@ -132,6 +132,8 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
     # the state's weight is put back on the global scale after the step.
     lw = bank.log_weights
     shift = max(float(lw.max()), bank.initial_log_weight)
+    if shift == -np.inf:  # raised here, before exp(-inf - -inf) warns
+        raise DegenerateWeightsError("degenerate weights: all log weights are -inf")
     bw = np.exp(lw - shift)
     state_lw, state_f = bank.initial_log_weight, bank.initial_f_value
     state_w = float(np.exp(state_lw - shift))

@@ -123,6 +123,19 @@ class TestBoundsCommand:
         assert payload["omega"] > 1.0
         assert payload["kappa"] > 1.0
 
+    @pytest.mark.parametrize("constants", [{"omega": 30000.0, "kappa": 1400.0}, {}],
+                             ids=["supplied", "estimated"])
+    def test_burn_in_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                             constants):
+        """k0 >= k exits 2 before the model and its constants; it used to exit
+        3 from the bound, after estimating any missing constants."""
+        forbid_sampling(monkeypatch)
+        config = write_config(tmp_path, {
+            "schema": 1, "model": {"name": "gaussian-mixture", "dim": 2},
+            "grid": [{"N": 8, "k": 4, "k0": 4}], **constants})
+        assert main(["bounds", "--config", config]) == 2
+        assert "k0 must lie in [0, k)" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_single_replication_summary(self, tmp_path):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
+import brsnis.model
 from brsnis import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec,
                     NewtonConvergenceError, UnboundedWeightError, benchmark_mixture,
                     estimate_kappa, estimate_omega, indicator_difference,
@@ -12,6 +15,33 @@ from brsnis import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec
                     mixture_rectangle_probability, synthetic_logistic_data)
 
 MEAN_ABS_T3 = 2.0 * np.sqrt(3.0) / np.pi  # E|X| for a t3 variable
+
+
+def scipy_log_weight(spec, points):
+    """The mixture's log weight with its two components summed by scipy's
+    ``logsumexp``: the oracle the model must match bit for bit."""
+    dim, dof = spec.dim, spec.student_dof
+    log_norm = -0.5 * dim * np.log(2.0 * np.pi * spec.cov_scale)
+    comp = np.empty((2, len(points)))
+    for j, mass in enumerate((spec.weight, 1.0 - spec.weight)):
+        sq = ((points - spec.means[j]) ** 2).sum(axis=1)
+        comp[j] = np.log(mass) + log_norm - sq / (2.0 * spec.cov_scale)
+    const = (gammaln((dof + dim) / 2.0) - gammaln(dof / 2.0)
+             - 0.5 * dim * np.log(dof * np.pi))
+    sq = np.einsum("ij,ij->i", points, points)
+    return logsumexp(comp, axis=0) - (const - 0.5 * (dof + dim) * np.log1p(sq / dof))
+
+
+@st.composite
+def component_pairs(draw):
+    """Two component log densities: a tie, a gap of up to 2000 nats (past the
+    745 where exp underflows), or a second value drawn on its own; either
+    value may be +-inf or NaN."""
+    value = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([np.inf, -np.inf, np.nan]))
+    c0 = draw(value)
+    kind = draw(st.sampled_from(["tie", "gap", "free"]))
+    c1 = {"tie": c0, "gap": c0 - draw(st.floats(0.0, 2000.0)), "free": draw(value)}[kind]
+    return (c1, c0) if draw(st.booleans()) else (c0, c1)
 
 
 class TestMixtureSpec:
@@ -101,6 +131,46 @@ class TestGaussianMixtureModel:
         assert f(inside_b_only)[0] == -1.0
         assert f(in_both)[0] == 0.0
         assert f(outside)[0] == 0.0
+
+
+class TestLogSumExpBitwise:
+    """The mixture's log density repeats scipy's two-term ``logsumexp``
+    arithmetic, so seeded outputs keep every bit."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(component_pairs(), min_size=1, max_size=8))
+    def test_two_term_matches_scipy(self, pairs):
+        c0, c1 = np.array(pairs).T
+        expected = logsumexp(np.stack([c0, c1]), axis=0)
+        assert np.array_equal(brsnis.model._log_add_exp(c0, c1), expected,
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_log_weight_matches_scipy_formula(self, dim):
+        spec = benchmark_mixture(dim)
+        model = make_gaussian_mixture(spec)
+        points = model.propose(np.random.default_rng(40 + dim), 10 ** 5)
+        assert np.array_equal(model.log_weight(points), scipy_log_weight(spec, points))
+        for point in points[:200]:
+            single = point[None, :]
+            assert np.array_equal(model.log_weight(single), scipy_log_weight(spec, single))
+
+    def test_tied_components_match_scipy_formula(self, gauss_student_1d):
+        """Equal masses and centers: every point is a tie."""
+        spec, model, _, _ = gauss_student_1d
+        points = model.propose(np.random.default_rng(42), 10 ** 4)
+        assert np.array_equal(model.log_weight(points), scipy_log_weight(spec, points))
+
+    def test_log_weight_does_not_call_scipy(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("log_weight called scipy's logsumexp")
+
+        model = make_gaussian_mixture(benchmark_mixture(7))
+        points = model.propose(np.random.default_rng(43), 100)
+        monkeypatch.setattr(brsnis.model, "logsumexp", fail)
+        model.log_weight(points)
+        model.log_weight(points[0])
 
 
 class TestEstimateKappa:

@@ -160,6 +160,14 @@ class TestBootstrap:
             bootstrap_br_snis(bank, RollingConfig(3, 4, 0), rounds=4,
                               rng=np.random.default_rng(0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_all_minus_inf_bank_rejected_without_warnings(self):
+        """No finite weight anywhere: the error comes before any -inf - -inf."""
+        bank = flat_bank(np.full(8, -np.inf), np.zeros(8), -np.inf, 0.0)
+        with pytest.raises(DegenerateWeightsError):
+            bootstrap_br_snis(bank, RollingConfig(3, 4, 0), rounds=4,
+                              rng=np.random.default_rng(0))
+
     @settings(max_examples=200, deadline=None)
     @given(spread_banks())
     def test_matches_reference_replay_any_spread(self, case):
