@@ -30,11 +30,11 @@ from .model import (CountingModel, LogisticPosteriorSpec, ModelSpec, TestFunctio
                     benchmark_mixture, estimate_kappa, estimate_omega,
                     indicator_difference, logistic_predictive,
                     make_gaussian_mixture, make_logistic_posterior,
-                    mixture_truth, synthetic_logistic_data)
+                    mixture_truth, row_blocks, synthetic_logistic_data)
 from .rolling import (RollingConfig, bootstrap_br_snis, build_sample_bank,
                       rolling_estimate)
-from .snis import (WeightedSampleSet, snis_bias_bound, snis_estimate,
-                   snis_hpd_bound, snis_mse_bound)
+from .snis import (WeightedSampleSet, normalize_weights, snis_bias_bound,
+                   snis_estimate, snis_hpd_bound, snis_mse_bound)
 
 # Reserved stream tags for non-replication generators.
 _CONSTANTS_STREAM = 2 ** 31
@@ -475,6 +475,28 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
     return [header] + rows, summary
 
 
+def _reference_predictive(log_weights: np.ndarray, points: np.ndarray,
+                          x_test: np.ndarray) -> np.ndarray:
+    """``snis_estimate(WeightedSampleSet(log_weights, logistic_predictive(
+    points, x_test)))`` bit for bit, in O(block x test points) memory.
+
+    numpy sums an ``(n, q)`` array over axis 0 one row after another when
+    q > 1, so each block's weighted rows go below a carry row holding the sum
+    of the blocks before them.  A single column it sums pairwise; that case
+    takes one block of n rows.
+    """
+    weights = normalize_weights(log_weights)
+    n, q = len(weights), len(x_test)
+    blocks = row_blocks(n) if q > 1 else [slice(0, n)]
+    buf = np.empty((max(rows.stop - rows.start for rows in blocks) + 1, q))
+    for i, rows in enumerate(blocks):
+        b = rows.stop - rows.start
+        np.multiply(weights[rows, None], logistic_predictive(points[rows], x_test),
+                    out=buf[1:b + 1])
+        buf[0] = buf[(1 if i == 0 else 0):b + 1].sum(axis=0)
+    return buf[0].copy()
+
+
 def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
                  threads: int) -> tuple[list[str], dict]:
     seed, replications, n_test = (config["seed"], section["replications"],
@@ -485,9 +507,7 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
 
     ref_rng = _stream_rng(seed, _REFERENCE_STREAM)
     ref_points = model.propose(ref_rng, section["reference_draws"])
-    ref_weights = WeightedSampleSet(model.log_weight(ref_points),
-                                    logistic_predictive(ref_points, x_test))
-    reference = snis_estimate(ref_weights)
+    reference = _reference_predictive(model.log_weight(ref_points), ref_points, x_test)
 
     predictive = TestFunction(fn=lambda pts: logistic_predictive(pts, x_test),
                               sup_bound=1.0)

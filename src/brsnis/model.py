@@ -335,13 +335,36 @@ def synthetic_logistic_data(rng: np.random.Generator, dim: int, n_obs: int,
     return x, y
 
 
+# Rows per block of the logistic model's (rows, n_obs) and (rows, test points)
+# products, so a large batch of parameter draws runs in bounded memory.
+_BLOCK_ROWS = 4096
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``_BLOCK_ROWS + 1`` rows covering range(n).
+
+    A lone last row joins the block before it: BLAS computes a one-row
+    product with its matrix-vector kernel, whose bits can differ from the
+    same row of a larger product, while blocks of two or more rows give
+    every row of the unblocked product bit for bit.
+    """
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _log_posterior(spec: LogisticPosteriorSpec, theta: np.ndarray) -> np.ndarray:
     # Unnormalized: log-likelihood plus normalized Gaussian prior log density.
+    # The likelihood is filled one row block at a time, each row by the
+    # unblocked expressions, so memory is O(block x n_obs) and no bit changes.
     theta = np.atleast_2d(theta)
     dim = spec.dim
     tau2 = spec.prior_precision
-    z = spec.responses[None, :] * (theta @ spec.covariates.T)
-    ll = -np.logaddexp(0.0, -z).sum(axis=1)
+    ll = np.empty(len(theta))
+    for rows in row_blocks(len(theta)):
+        z = spec.responses[None, :] * (theta[rows] @ spec.covariates.T)
+        ll[rows] = -np.logaddexp(0.0, -z).sum(axis=1)
     lp = 0.5 * dim * np.log(tau2 / (2.0 * np.pi)) - 0.5 * tau2 * (theta ** 2).sum(axis=1)
     return ll + lp
 

@@ -3,13 +3,16 @@
 import json
 import os
 import runpy
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from brsnis import cli
+import brsnis.model
+from brsnis import (LogisticPosteriorSpec, WeightedSampleSet, cli, logistic_predictive,
+                    make_logistic_posterior, snis_estimate, synthetic_logistic_data)
 from brsnis.cli import _write_outputs, main, replication_rng, seed_fingerprint
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -234,6 +237,8 @@ class TestExperimentCommand:
 
 
 class TestDiagnoseCommand:
+    BLOCK = brsnis.model._BLOCK_ROWS
+
     def test_sliced_wasserstein_curves(self, tmp_path):
         config = sw_config(tmp_path)
         assert main(["diagnose", "--config", config]) == 0
@@ -302,6 +307,35 @@ class TestDiagnoseCommand:
             outputs.append([(tmp_path / name).read_bytes()
                             for name in ("tv.csv", "tv.csv.summary.json")])
         assert outputs[0] == outputs[1]
+
+    def test_tv_reference_memory_bounded(self, tmp_path):
+        """The reference runs in row blocks: 5e4 draws against 200 data rows
+        and 200 test points would need two 80 MB matrices at once."""
+        config = tv_config(tmp_path, model={"n_obs": 200}, replications=2,
+                           test_points=200, reference_draws=50000)
+        tracemalloc.start()
+        try:
+            assert main(["diagnose", "--config", config]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("draws, test_points", [
+        (2 * BLOCK + 3, 200), (BLOCK + 1, 7), (BLOCK + 5, 1)])
+    def test_tv_reference_matches_snis_estimate(self, draws, test_points):
+        """Bit for bit the unblocked SNIS reference, with a last block of
+        three rows, a lone last row and a single (pairwise-summed) column."""
+        rng = np.random.default_rng(31)
+        x, y = synthetic_logistic_data(rng, 3, 40, np.array([1.0, -1.0, 0.5]))
+        model = make_logistic_posterior(LogisticPosteriorSpec(x, y, 0.05))
+        points = model.propose(rng, draws)
+        x_test = rng.standard_normal((test_points, 3))
+        log_weights = model.log_weight(points)
+        expected = snis_estimate(WeightedSampleSet(
+            log_weights, logistic_predictive(points, x_test)))
+        assert np.array_equal(cli._reference_predictive(log_weights, points, x_test),
+                              expected)
 
     def test_sw_requires_target_sampler(self, tmp_path):
         config = write_config(tmp_path, {
@@ -384,8 +418,8 @@ class TestTraceHooks:
     """perfbench/tracer.py patches package names that must keep existing."""
 
     @staticmethod
-    def span_names(tmp_path, experiments, tv_diagnostic=None):
-        """Span names from tiny experiments ``(estimator, grid point)`` and,
+    def traced_spans(tmp_path, experiments, tv_diagnostic=None):
+        """Spans from tiny experiments ``(estimator, grid point)`` and,
         given its section overrides, a tiny ``diagnose tv`` run, all under
         the benchmark's tracer."""
         tracer_mod = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
@@ -399,18 +433,25 @@ class TestTraceHooks:
             if tv_diagnostic is not None:
                 config = tv_config(tmp_path, **tv_diagnostic)
                 assert main(["diagnose", "--config", config]) == 0
-        return {span.name for span in tracer.spans}
+        return tracer.spans
 
     def test_tracer_records_chain_and_bootstrap_spans(self, tmp_path):
-        names = self.span_names(tmp_path, [("br-snis", {"N": 5, "k": 6}),
-                                           ("br-snis-bootstrap", {"N": 5, "k": 6})])
+        spans = self.traced_spans(tmp_path, [("br-snis", {"N": 5, "k": 6}),
+                                             ("br-snis-bootstrap", {"N": 5, "k": 6})])
+        names = {span.name for span in spans}
         assert {"isir.run_chain", "rolling.rolling_estimate",
                 "rolling.build_sample_bank", "rolling.bootstrap_br_snis"} <= names
 
     def test_tracer_records_estimator_and_diagnostic_spans(self, tmp_path):
         tv = {"replications": 2, "test_points": 4, "reference_draws": 2000}
-        names = self.span_names(tmp_path, [("snis", {"M": 32}),
-                                           ("isir-state", {"N": 5, "k": 6})], tv)
+        spans = self.traced_spans(tmp_path, [("snis", {"M": 32}),
+                                             ("isir-state", {"N": 5, "k": 6})], tv)
+        names = {span.name for span in spans}
         assert {"snis.snis_estimate", "isir.run_chain", "cli.run_replication",
                 "diagnostics.replication_stats", "rolling.build_sample_bank",
-                "diagnostics.tv_predictive"} <= names
+                "diagnostics.tv_predictive", "model.f", "model.log_weight"} <= names
+        # Only the TV reference's 2000 draws lift either count that high, so
+        # the reference must reach the model through the names the tracer wraps.
+        for layer in ("model.f", "model.log_weight"):
+            points = sum(span.work["points"] for span in spans if span.name == layer)
+            assert points >= 2000

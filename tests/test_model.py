@@ -32,6 +32,19 @@ def scipy_log_weight(spec, points):
     return logsumexp(comp, axis=0) - (const - 0.5 * (dof + dim) * np.log1p(sq / dof))
 
 
+def unblocked_logistic_log_weight(spec, theta):
+    """The logistic log weight with the whole ``(n, n_obs)`` likelihood
+    matrix at once: the oracle the row-blocked model must match bit for bit."""
+    mean, var_diag = laplace_proposal(spec)
+    dim, tau2 = spec.dim, spec.prior_precision
+    z = spec.responses[None, :] * (theta @ spec.covariates.T)
+    ll = -np.logaddexp(0.0, -z).sum(axis=1)
+    lp = 0.5 * dim * np.log(tau2 / (2.0 * np.pi)) - 0.5 * tau2 * (theta ** 2).sum(axis=1)
+    prop_const = -0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.log(var_diag).sum()
+    prop = prop_const - 0.5 * (((theta - mean) / np.sqrt(var_diag)) ** 2).sum(axis=1)
+    return (ll + lp) - prop
+
+
 @st.composite
 def component_pairs(draw):
     """Two component log densities: a tie, a gap of up to 2000 nats (past the
@@ -324,6 +337,32 @@ class TestLogisticPosteriorModel:
             LogisticPosteriorSpec(covariates=np.ones((2, 1)),
                                   responses=np.array([1.0, 0.0]),
                                   prior_precision=1.0)
+
+
+class TestLogisticRowBlocks:
+    """The logistic log weight is computed in row blocks of ``_BLOCK_ROWS``,
+    so a large batch runs in bounded memory, with every bit unchanged."""
+
+    BLOCK = brsnis.model._BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2,
+                                   2 * BLOCK + 1, 2 * BLOCK + 3])
+    def test_blocks_cover_rows_in_order(self, n):
+        blocks = brsnis.model.row_blocks(n)
+        assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
+        sizes = [rows.stop - rows.start for rows in blocks]
+        assert all(size <= self.BLOCK + 1 for size in sizes)
+        assert n <= 1 or min(sizes) >= 2  # no one-row product in a batch
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_log_weight_matches_unblocked_formula(self, n):
+        rng = np.random.default_rng(23)
+        x, y = synthetic_logistic_data(rng, 5, 200, np.array([1.0, -0.5, 0.0, 0.5, 2.0]))
+        spec = LogisticPosteriorSpec(x, y, prior_precision=0.05)
+        model = make_logistic_posterior(spec)
+        theta = model.propose(rng, n)
+        assert np.array_equal(model.log_weight(theta),
+                              unblocked_logistic_log_weight(spec, theta))
 
 
 class TestSyntheticData:
