@@ -111,10 +111,10 @@ def load_config(path: str, overrides: Optional[list[str]] = None,
 REQUIRED = object()
 _COMMON_KEYS = {
     "schema": (int, REQUIRED, 1), "model": (dict, REQUIRED, None), "seed": (int, 0, 0),
-    "omega": (float, None, None), "kappa": (float, None, None),
+    "omega": (float, None, 1.0), "kappa": (float, None, 1.0),
     "estimate_draws": (int, 10 ** 6, 1), "estimate_restarts": (int, 32, 1)}
 CONFIG_KEYS = {
-    "bounds": {**_COMMON_KEYS, "grid": (list[dict], [], None), "out": (str, None, None)},
+    "bounds": {**_COMMON_KEYS, "grid": (list[dict], [], None)},
     "experiment": {**_COMMON_KEYS, "estimator": (ESTIMATORS, "snis", None),
                    "grid": (list[dict], REQUIRED, None), "replications": (int, 1, 1),
                    "batch_size": (int, None, 1), "out": (str, REQUIRED, None)},
@@ -125,7 +125,7 @@ CONFIG_KEYS = {
     "gaussian-mixture": {"name": (MODELS, REQUIRED, None), "dim": (int, 2, 2)},
     "logistic-synthetic": {
         "name": (MODELS, REQUIRED, None), "dim": (int, 5, 1), "n_obs": (int, 200, 0),
-        "data_seed": (int, 0, 0), "prior_precision": (float, 5e-2, 0.0),
+        "data_seed": (int, 0, 0), "prior_precision": (float, 5e-2, None),
         "theta_star": (list[float], None, None), "component": (int, 0, 0)},
     "sw": {"kind": (DIAGNOSTICS, REQUIRED, None), "N": (list[int], [8, 32, 128], 2),
            "k_max": (int, 10, 3), "chains": (int, 1000, 1), "groups": (int, 8, 2),
@@ -203,6 +203,8 @@ def build_model(section: dict) -> BuiltModel:
         raise ConfigError(f"theta_star needs dim = {dim} entries")
     if component >= dim:
         raise ConfigError(f"component must be below dim = {dim}")
+    if not section["prior_precision"] > 0:
+        raise ConfigError("prior_precision must be positive")
     rng = _stream_rng(section["data_seed"], _DATA_STREAM)
     x, y = synthetic_logistic_data(rng, dim, section["n_obs"],
                                    np.asarray(theta_star, dtype=float))
@@ -220,10 +222,11 @@ def resolve_constants(config: dict, built: BuiltModel) -> tuple[float, float, bo
     if estimated:
         rng = _stream_rng(config["seed"], _CONSTANTS_STREAM)
         draws, restarts = config["estimate_draws"], config["estimate_restarts"]
+        # Both are at least 1 by definition; a Monte Carlo estimate can fall short.
         if kappa is None:
-            kappa = estimate_kappa(built.model, draws, rng)
+            kappa = max(estimate_kappa(built.model, draws, rng), 1.0)
         if omega is None:
-            omega = estimate_omega(built.model, restarts, draws, rng)
+            omega = max(estimate_omega(built.model, restarts, draws, rng), 1.0)
     return float(omega), float(kappa), estimated
 
 
@@ -232,12 +235,16 @@ def resolve_constants(config: dict, built: BuiltModel) -> tuple[float, float, bo
 # ---------------------------------------------------------------------------
 
 
-def _normalize_grid_point(estimator: str, point: dict) -> dict:
+def _normalize_grid_point(command: str, point: dict) -> dict:
+    """A grid entry of ``bounds`` or of an estimator, checked; a chain
+    estimator's entry gets its k, k0, M and rounds filled in."""
     out = read_section("grid", point)
-    needed = "M" if estimator == "snis" else "N"
+    needed = "M" if command == "snis" else "N"
     if out[needed] is None:
-        raise ConfigError(f"{estimator} grid entries need {needed}")
-    if estimator != "snis":
+        raise ConfigError(f"{command} grid entries need {needed}")
+    if command == "snis" and out["M"] < 2:
+        raise ConfigError("snis grid entries need M >= 2")
+    if command in ESTIMATORS[1:]:
         n, k = out["N"], out["k"]
         if k is None:
             if out["M"] is None or out["M"] % (n - 1):
@@ -248,11 +255,11 @@ def _normalize_grid_point(estimator: str, point: dict) -> dict:
             raise ConfigError(f"budget mismatch: M={out['M']} but (N-1)k={declared}")
         out["M"] = declared
         if out["k0"] is None:
-            out["k0"] = k - 1 if estimator == "br-snis-bootstrap" else 0
-        if out["k0"] >= k:
-            raise ConfigError("k0 must lie in [0, k)")
-        if estimator == "br-snis-bootstrap" and out["rounds"] is None:
+            out["k0"] = k - 1 if command == "br-snis-bootstrap" else 0
+        if command == "br-snis-bootstrap" and out["rounds"] is None:
             out["rounds"] = k
+    if out["k"] is not None and (out["k0"] or 0) >= out["k"]:
+        raise ConfigError("k0 must lie in [0, k)")
     return out
 
 
@@ -278,30 +285,39 @@ def run_replication(estimator: str, built: BuiltModel, point: dict,
     return float(estimate), counter.proposal_draws
 
 
+def _grid_bounds(point: dict, omega: float, kappa: float) -> dict:
+    """Every bound that a grid point's N, k, k0 and M determine, for sup|f| <= 1."""
+    n, k, k0, m = point["N"], point["k"], point["k0"] or 0, point["M"]
+    entry = {}
+    if n is not None:
+        consts = bounds_mod.bound_constants(omega, kappa, n)
+        entry.update(consts.as_dict())
+        if k is not None:
+            entry["pool_bias_bound"] = bounds_mod.pool_bias_bound(consts, k)
+            entry["pool_mse_bound"] = bounds_mod.pool_mse_bound(consts)
+            entry["rolling_bias_bound"] = bounds_mod.rolling_bias_bound(consts, k0, k)
+            entry["rolling_mse_bound"] = bounds_mod.rolling_mse_bound(consts, k0, k)
+            entry["rolling_hpd_bound_delta_0.1"] = bounds_mod.rolling_hpd_bound(
+                consts, 0.1, k0, k)
+    if m is not None:
+        entry["snis_bias_bound"] = snis_bias_bound(kappa, m)
+        entry["snis_mse_bound"] = snis_mse_bound(kappa, m)
+        if m > 1:
+            entry["snis_hpd_bound_delta_0.1"] = snis_hpd_bound(omega, m, 0.1)
+    return entry
+
+
 def _point_bounds(estimator: str, point: dict, omega: float, kappa: float,
                   sup_bound: float) -> dict:
-    """Theoretical bounds matching one grid point, scaled by the f bound."""
-    out = {}
-    if estimator == "snis":
-        out["bias_bound"] = snis_bias_bound(kappa, point["M"]) * sup_bound
-        out["mse_bound"] = snis_mse_bound(kappa, point["M"]) * sup_bound ** 2
-        out["hpd_bound_delta_0.1"] = snis_hpd_bound(max(omega, 1.0), point["M"], 0.1) \
-            * sup_bound
-    elif estimator in ("br-snis", "br-snis-bootstrap"):
-        consts = bounds_mod.bound_constants(max(omega, 1.0), max(kappa, 1.0),
-                                            point["N"])
-        out["bias_bound"] = bounds_mod.rolling_bias_bound(
-            consts, point["k0"], point["k"]) * sup_bound
-        out["mse_bound"] = bounds_mod.rolling_mse_bound(
-            consts, point["k0"], point["k"]) * sup_bound ** 2
-        out["hpd_bound_delta_0.1"] = bounds_mod.rolling_hpd_bound(
-            consts, 0.1, point["k0"], point["k"]) * sup_bound
-    elif estimator == "isir-state":
-        consts = bounds_mod.bound_constants(max(omega, 1.0), max(kappa, 1.0),
-                                            point["N"])
-        out["mixing_rate"] = consts.rate
-        out["mixing_time"] = consts.t_mix
-    return out
+    """The grid bounds that match the estimator, scaled by the f bound (the
+    MSE bound by its square)."""
+    bounds = _grid_bounds(point, omega, kappa)
+    if estimator == "isir-state":
+        return {"mixing_rate": bounds["mixing_rate"], "mixing_time": bounds["mixing_time"]}
+    name = "snis" if estimator == "snis" else "rolling"
+    return {"bias_bound": bounds[f"{name}_bias_bound"] * sup_bound,
+            "mse_bound": bounds[f"{name}_mse_bound"] * sup_bound ** 2,
+            "hpd_bound_delta_0.1": bounds[f"{name}_hpd_bound_delta_0.1"] * sup_bound}
 
 
 # ---------------------------------------------------------------------------
@@ -311,35 +327,15 @@ def _point_bounds(estimator: str, point: dict, omega: float, kappa: float,
 
 def cmd_bounds(config: dict) -> int:
     config = read_section("bounds", config)
-    grid = [read_section("grid", point) for point in config["grid"]]
-    if any(point["N"] is None for point in grid):
-        raise ConfigError("bounds grid entries need N")
-    if any(point["k"] is not None and (point["k0"] or 0) >= point["k"] for point in grid):
-        raise ConfigError("k0 must lie in [0, k)")
+    grid = [_normalize_grid_point("bounds", point) for point in config["grid"]]
     built = build_model(config["model"])
     omega, kappa, estimated = resolve_constants(config, built)
-    entries = []
-    for point in grid:
-        k, k0, m = point["k"], point["k0"] or 0, point["M"]
-        consts = bounds_mod.bound_constants(max(omega, 1.0), max(kappa, 1.0), point["N"])
-        entry = consts.as_dict()
-        if k is not None:
-            entry["pool_bias_bound"] = bounds_mod.pool_bias_bound(consts, k)
-            entry["pool_mse_bound"] = bounds_mod.pool_mse_bound(consts)
-            entry["rolling_bias_bound"] = bounds_mod.rolling_bias_bound(consts, k0, k)
-            entry["rolling_mse_bound"] = bounds_mod.rolling_mse_bound(consts, k0, k)
-            entry["rolling_hpd_bound_delta_0.1"] = bounds_mod.rolling_hpd_bound(
-                consts, 0.1, k0, k)
-        if m is not None:
-            entry["snis_bias_bound"] = snis_bias_bound(kappa, m)
-            entry["snis_mse_bound"] = snis_mse_bound(kappa, m)
-        entries.append(entry)
     payload = {
         "model": built.label,
         "omega": omega,
         "kappa": kappa,
         "estimated": estimated,
-        "entries": entries,
+        "entries": [_grid_bounds(point, omega, kappa) for point in grid],
     }
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -457,7 +453,7 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
         ses = sw_by_k.std(axis=0, ddof=1) / np.sqrt(groups)
         for k in range(k_max + 1):
             rows.append(_format_row(["sw", n, k, float(means[k]), float(ses[k])]))
-        rate = bounds_mod.mixing_rate(max(omega, 1.0), n)
+        rate = bounds_mod.mixing_rate(omega, n)
         # Fit the decay over the descent only; past the equal-sample noise
         # floor the curve flattens and would wash out the slope.
         floor = means[-1]
@@ -600,12 +596,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
         config = load_config(args.config, args.override, args.seed, args.out)
         if args.command == "bounds":
             return cmd_bounds(config)
         if args.command == "experiment":
-            return cmd_experiment(config, max(1, args.threads))
-        return cmd_diagnose(config, max(1, args.threads))
+            return cmd_experiment(config, args.threads)
+        return cmd_diagnose(config, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -25,9 +25,6 @@ class ReplicationSummary:
 
     batch_bias: np.ndarray
     batch_mse: np.ndarray
-    batch_size: int
-    n_replications: int
-    mean_estimate: float
     bias: float
     mse: float
     bias_se: float
@@ -54,9 +51,6 @@ def replication_stats(estimates: np.ndarray, truth: float,
     return ReplicationSummary(
         batch_bias=batch_bias,
         batch_mse=batch_mse,
-        batch_size=batch_size,
-        n_replications=estimates.size,
-        mean_estimate=float(estimates.mean()),
         bias=float(batch_bias.mean()),
         mse=float(batch_mse.mean()),
         bias_se=float(batch_bias.std(ddof=0) / spread),

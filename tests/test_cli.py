@@ -139,6 +139,36 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", config]) == 2
         assert "k0 must lie in [0, k)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("constants, argv, message", [
+        ({"omega": 0.2}, [], "omega must be float >= 1.0"),
+        ({"kappa": 0.5}, [], "kappa must be float >= 1.0"),
+        ({}, ["--out", "bounds.json"], "unknown bounds keys: ['out']"),
+        ({}, ["--threads", "0"], "--threads must be at least 1"),
+    ], ids=["omega-below-one", "kappa-below-one", "out-flag", "no-threads"])
+    def test_config_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                            constants, argv, message):
+        """omega and kappa are at least 1 by definition, bounds writes no file
+        and a run needs a thread; kappa 0.5 used to exit 3 from the bound,
+        omega 0.2 and --threads 0 ran, and --out was read by nothing."""
+        forbid_sampling(monkeypatch)
+        config = write_config(tmp_path, {
+            "schema": 1, "model": {"name": "gaussian-mixture", "dim": 2},
+            "grid": [{"N": 8, "k": 4}], **constants})
+        assert main(["bounds", "--config", config, *argv]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_estimates_floored_at_one(self, tmp_path, monkeypatch, capsys):
+        """A Monte Carlo estimate below 1 is reported and used as 1."""
+        monkeypatch.setattr(cli, "estimate_kappa", lambda *args: 0.9)
+        monkeypatch.setattr(cli, "estimate_omega", lambda *args: 0.8)
+        config = write_config(tmp_path, {
+            "schema": 1, "model": {"name": "gaussian-mixture", "dim": 2},
+            "grid": [{"N": 8, "M": 10}]})
+        assert main(["bounds", "--config", config]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["omega"], payload["kappa"]) == (1.0, 1.0)
+        assert payload["entries"][0]["snis_bias_bound"] == pytest.approx(1.2)
+
 
 class TestExperimentCommand:
     def test_single_replication_summary(self, tmp_path):
@@ -209,16 +239,51 @@ class TestExperimentCommand:
         {"model": {"name": "gaussian-mixture", "dim": 2, "n_obs": 10}},
         {"estimator": "br-snis", "grid": [{"N": 1, "k": 4}]},
         {"out": ""},
+        {"omega": 0.5},
+        {"kappa": 0.5},
+        {"grid": [{"M": 1}]},
+        {"grid": [{"M": 64, "N": 5, "k": 2, "k0": 2}]},
     ], ids=["top-level-typo", "grid-typo", "string-count", "boolean-dim",
-            "fractional-dim", "unknown-model-key", "one-candidate", "empty-out"])
+            "fractional-dim", "unknown-model-key", "one-candidate", "empty-out",
+            "omega-below-one", "kappa-below-one", "snis-one-sample", "snis-burn-in"])
     def test_config_checked_before_sampling(self, tmp_path, monkeypatch, overrides):
         """Unknown keys, wrong types and values below their least value exit 2
         before any draw; a mistyped ``replication`` used to run one
-        replication and exit 0."""
+        replication and exit 0, kappa 0.5 ran as kappa 1 and SNIS with one
+        sample ran every replication before its bound exited 3."""
         forbid_sampling(monkeypatch)
         config = experiment_config(tmp_path, **overrides)
         assert main(["experiment", "--config", config]) == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_summary_bounds_match_bounds_command(self, tmp_path, capsys):
+        """The summary's bounds are the ``bounds`` entry of the same grid point,
+        times sup|f| (the MSE bound times its square)."""
+        model = {"name": "logistic-synthetic", "dim": 2, "n_obs": 20}
+        sup = cli.build_model(model).f.sup_bound
+        assert sup != 1.0
+        cases = {"snis": ({"N": 5, "M": 64}, "snis"), "isir-state": ({"N": 5, "k": 6}, None),
+                 "br-snis": ({"N": 5, "k": 6, "k0": 2}, "rolling"),
+                 "br-snis-bootstrap": ({"N": 5, "k": 6}, "rolling")}
+        for estimator, (point, name) in cases.items():
+            config = experiment_config(tmp_path, estimator=estimator, model=model,
+                                       grid=[point], replications=2, batch_size=1)
+            assert main(["experiment", "--config", config]) == 0
+            summary = json.loads((tmp_path / "out.csv.summary.json").read_text())["points"][0]
+            grid = {key: summary[key] for key in ("N", "k", "k0", "rounds", "M")}
+            config = write_config(tmp_path, {"schema": 1, "model": model, "omega": 18.0,
+                                             "kappa": 6.0, "grid": [grid]}, "bounds.json")
+            assert main(["bounds", "--config", config]) == 0
+            entry = json.loads(capsys.readouterr().out)["entries"][0]
+            if name is None:
+                expected = {"mixing_rate": entry["mixing_rate"],
+                            "mixing_time": entry["mixing_time"]}
+            else:
+                expected = {
+                    "bias_bound": entry[f"{name}_bias_bound"] * sup,
+                    "mse_bound": entry[f"{name}_mse_bound"] * sup ** 2,
+                    "hpd_bound_delta_0.1": entry[f"{name}_hpd_bound_delta_0.1"] * sup}
+            assert summary["bounds"] == expected, estimator
 
     def test_integral_float_counts_accepted(self, tmp_path):
         """``1e6``-style counts are converted to integers, as before."""
@@ -272,14 +337,17 @@ class TestDiagnoseCommand:
         ({}, {"reference_draws": 0}),
         ({"component": 3}, {}),
         ({"theta_star": [1.0, 2.0]}, {}),
+        ({"prior_precision": 0}, {}),
     ], ids=["budget-not-split-by-pool", "no-replications", "no-test-points",
-            "no-reference-draws", "component-not-below-dim", "theta-star-length"])
+            "no-reference-draws", "component-not-below-dim", "theta-star-length",
+            "flat-prior"])
     def test_tv_schedule_checked_before_sampling(self, tmp_path, monkeypatch,
                                                  model, diagnostic):
         """Budget 18 is not a multiple of N - 1 = 4, zero replications, test
-        points or reference draws leave nothing to average, and a component or
-        theta_star outside the dim = 3 model cannot be used; all are rejected
-        before the model draws its data."""
+        points or reference draws leave nothing to average, a component or
+        theta_star outside the dim = 3 model cannot be used, and a zero prior
+        precision leaves no prior; all are rejected before the model draws its
+        data."""
         forbid_sampling(monkeypatch)
         config = tv_config(tmp_path, model, **diagnostic)
         assert main(["diagnose", "--config", config]) == 2
