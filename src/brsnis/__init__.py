@@ -13,12 +13,11 @@ to verify them empirically.
 from .bounds import (BoundConstants, bound_constants, mixing_rate, mixing_time,
                      pool_bias_bound, pool_cov_bound, pool_mse_bound,
                      rolling_bias_bound, rolling_hpd_bound, rolling_mse_bound)
-from .diagnostics import (CoverageResult, PredictiveTable, ReplicationSummary,
-                          coverage_check, fit_geometric_rate, lag_covariance,
-                          replication_stats, sliced_wasserstein, tv_predictive)
-from .isir import (ChainConfig, ChainTrace, KeyRelationResult, WeightedPool,
-                   categorical_draw, isir_step, key_relation_check, run_chain,
-                   run_chains)
+from .diagnostics import (ReplicationSummary, coverage_check, fit_geometric_rate,
+                          lag_covariance, replication_stats, sliced_wasserstein,
+                          tv_predictive)
+from .isir import (ChainConfig, ChainTrace, WeightedPool, categorical_draw, isir_step,
+                   key_relation_check, run_chain, run_chains)
 from .model import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec,
                     NewtonConvergenceError, TestFunction, UnboundedWeightError,
                     benchmark_mixture, estimate_kappa, estimate_omega,
@@ -28,20 +27,19 @@ from .model import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec
                     mixture_truth, synthetic_logistic_data)
 from .rolling import (CachedSampleBank, RollingConfig, bootstrap_br_snis,
                       build_sample_bank, rolling_estimate)
-from .snis import (DegenerateWeightsError, WeightedSampleSet, normalize_weights,
-                   snis_bias_bound, snis_estimate, snis_hpd_bound, snis_mse_bound)
+from .snis import (DegenerateWeightsError, normalize_weights, snis_bias_bound,
+                   snis_estimate, snis_hpd_bound, snis_mse_bound)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundConstants", "CachedSampleBank", "ChainConfig", "ChainTrace",
-    "CountingModel", "CoverageResult", "DegenerateWeightsError",
-    "KeyRelationResult", "LogisticPosteriorSpec", "MixtureSpec", "ModelSpec",
-    "NewtonConvergenceError", "PredictiveTable", "ReplicationSummary",
+    "CountingModel", "DegenerateWeightsError", "LogisticPosteriorSpec",
+    "MixtureSpec", "ModelSpec", "NewtonConvergenceError", "ReplicationSummary",
     "RollingConfig", "TestFunction", "UnboundedWeightError", "WeightedPool",
-    "WeightedSampleSet", "benchmark_mixture", "bootstrap_br_snis",
-    "bound_constants", "build_sample_bank", "categorical_draw", "coverage_check", "estimate_kappa", "estimate_omega",
-    "fit_geometric_rate", "indicator_difference", "isir_step",
+    "benchmark_mixture", "bootstrap_br_snis", "bound_constants",
+    "build_sample_bank", "categorical_draw", "coverage_check", "estimate_kappa",
+    "estimate_omega", "fit_geometric_rate", "indicator_difference", "isir_step",
     "key_relation_check", "lag_covariance", "laplace_proposal",
     "logistic_predictive", "make_gaussian_mixture", "make_logistic_posterior",
     "mixing_rate", "mixing_time", "mixture_rectangle_probability",

@@ -23,18 +23,18 @@ from typing import Optional, get_args
 import numpy as np
 
 from . import bounds as bounds_mod
-from .diagnostics import (PredictiveTable, fit_geometric_rate, replication_stats,
-                          sliced_wasserstein, tv_predictive)
+from .diagnostics import (fit_geometric_rate, replication_stats, sliced_wasserstein,
+                          tv_predictive)
 from .isir import ChainConfig, run_chain, run_chains
 from .model import (CountingModel, LogisticPosteriorSpec, ModelSpec, TestFunction,
                     benchmark_mixture, estimate_kappa, estimate_omega,
-                    indicator_difference, logistic_predictive,
-                    make_gaussian_mixture, make_logistic_posterior,
-                    mixture_truth, row_blocks, synthetic_logistic_data)
+                    logistic_predictive, make_gaussian_mixture,
+                    make_logistic_posterior, mixture_test_function, mixture_truth,
+                    row_blocks, synthetic_logistic_data)
 from .rolling import (RollingConfig, bootstrap_br_snis, build_sample_bank,
                       rolling_estimate)
-from .snis import (WeightedSampleSet, normalize_weights, snis_bias_bound,
-                   snis_estimate, snis_hpd_bound, snis_mse_bound)
+from .snis import (normalize_weights, snis_bias_bound, snis_estimate, snis_hpd_bound,
+                   snis_mse_bound)
 
 # Reserved stream tags for non-replication generators.
 _CONSTANTS_STREAM = 2 ** 31
@@ -138,8 +138,9 @@ CONFIG_KEYS = {
 
 def _checked(where: str, value, kind, least):
     """``value`` as a ``kind``, or ConfigError if it is not one or is below
-    ``least``.  An int also takes an integral float; true/false is no number."""
-    if get_args(kind) and isinstance(value, list):
+    ``least``.  An int also takes an integral float; true/false is no number.
+    A list is checked item by item, and must not be empty if it has a least."""
+    if get_args(kind) and isinstance(value, list) and (value or least is None):
         return [_checked(where, item, get_args(kind)[0], least) for item in value]
     if (kind is int and type(value) is float and value.is_integer()
             or kind is float and type(value) is int):
@@ -192,9 +193,8 @@ def build_model(section: dict) -> BuiltModel:
     dim = section["dim"]
     if section["name"] == "gaussian-mixture":
         spec = benchmark_mixture(dim)
-        model = make_gaussian_mixture(spec)
-        f = indicator_difference(spec.rect_a, spec.rect_b)
-        return BuiltModel(model, f, mixture_truth(spec), f"gaussian-mixture-d{dim}")
+        return BuiltModel(make_gaussian_mixture(spec), mixture_test_function(spec),
+                          mixture_truth(spec), f"gaussian-mixture-d{dim}")
     theta_star, component = section["theta_star"], section["component"]
     if theta_star is None:
         base = np.array([1.0, -1.0, 0.5, -0.5, 0.25])
@@ -271,7 +271,7 @@ def run_replication(estimator: str, built: BuiltModel, point: dict,
     if estimator == "snis":
         m = point["M"]
         draws = counter.propose(rng, m)
-        estimate = snis_estimate(WeightedSampleSet(counter.log_weight(draws), f(draws)))
+        estimate = snis_estimate(counter.log_weight(draws), f(draws))
     elif estimator in ("isir-state", "br-snis"):
         trace = run_chain(counter, f, ChainConfig(point["N"], point["k"]), rng)
         if estimator == "br-snis":
@@ -434,15 +434,16 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
     if built.model.target_sample is None:
         raise ConfigError("sliced Wasserstein diagnostics need an exact target sampler")
     seed, k_max, groups = config["seed"], section["k_max"], section["groups"]
-    omega, kappa, _ = resolve_constants(config, built)
+    # Only omega feeds the mixing rate; a placeholder kappa skips its estimate.
+    omega, _, _ = resolve_constants({**config, "kappa": 1.0}, built)
     rows = []
     summary = {"per_n": []}
     for gi, n in enumerate(section["N"]):
         rng = replication_rng(seed, gi, 0)
         sw_by_k = np.empty((groups, k_max + 1))
         for group in range(groups):
-            batch = run_chains(built.model, built.f, n, k_max, section["chains"], rng,
-                               init="proposal", keep_states=True)
+            batch = run_chains(built.model, built.f, n, k_max,
+                               built.model.propose(rng, section["chains"]), rng)
             reference = built.model.target_sample(rng, section["chains"])
             for k in range(k_max + 1):
                 proj_rng = np.random.default_rng(
@@ -473,8 +474,8 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
 
 def _reference_predictive(log_weights: np.ndarray, points: np.ndarray,
                           x_test: np.ndarray) -> np.ndarray:
-    """``snis_estimate(WeightedSampleSet(log_weights, logistic_predictive(
-    points, x_test)))`` bit for bit, in O(block x test points) memory.
+    """``snis_estimate(log_weights, logistic_predictive(points, x_test))`` bit
+    for bit, in O(block x test points) memory.
 
     numpy sums an ``(n, q)`` array over axis 0 one row after another when
     q > 1, so each block's weighted rows go below a carry row holding the sum
@@ -515,7 +516,7 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
 
         def one(rng):
             bank = build_sample_bank(model, predictive, m, rng)
-            return (snis_estimate(WeightedSampleSet(bank.log_weights, bank.f_values)),
+            return (snis_estimate(bank.log_weights, bank.f_values),
                     bootstrap_br_snis(bank, cfg, rounds, rng))
 
         snis_sum = np.zeros(n_test)
@@ -526,8 +527,8 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
                                                       one)):
             snis_sum += p_snis
             br_sum += p_br
-            tv_snis[r] = tv_predictive(PredictiveTable(np.clip(p_snis, 0, 1), reference))
-            tv_br[r] = tv_predictive(PredictiveTable(np.clip(p_br, 0, 1), reference))
+            tv_snis[r] = tv_predictive(np.clip(p_snis, 0, 1), reference)
+            tv_br[r] = tv_predictive(np.clip(p_br, 0, 1), reference)
             rows.append(_format_row(["tv", "snis", m, r, float(tv_snis[r])]))
             rows.append(_format_row(["tv", "br-snis-bootstrap", m, r, float(tv_br[r])]))
         summary["per_budget"].append({
@@ -536,9 +537,9 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
             "mean_tv_snis": float(tv_snis.mean()),
             "mean_tv_br": float(tv_br.mean()),
             "tv_of_averaged_predictive_snis": tv_predictive(
-                PredictiveTable(np.clip(snis_sum / replications, 0, 1), reference)),
+                np.clip(snis_sum / replications, 0, 1), reference),
             "tv_of_averaged_predictive_br": tv_predictive(
-                PredictiveTable(np.clip(br_sum / replications, 0, 1), reference)),
+                np.clip(br_sum / replications, 0, 1), reference),
         })
     header = "diagnostic,estimator,M,replication,tv"
     return [header] + rows, summary

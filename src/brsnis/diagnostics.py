@@ -105,33 +105,22 @@ def sliced_wasserstein(points_a: np.ndarray, points_b: np.ndarray,
     return float(per_direction.mean())
 
 
-@dataclass(frozen=True)
-class PredictiveTable:
-    """Class-1 probabilities of an estimated and a reference predictive."""
-
-    estimated: np.ndarray
-    reference: np.ndarray
-
-    def __post_init__(self):
-        est = np.asarray(self.estimated, dtype=float).ravel()
-        ref = np.asarray(self.reference, dtype=float).ravel()
-        if est.shape != ref.shape or est.size == 0:
-            raise ValueError("estimated and reference must share a positive length")
-        for arr in (est, ref):
-            if np.any(arr < 0) or np.any(arr > 1):
-                raise ValueError("probabilities must lie in [0, 1]")
-        object.__setattr__(self, "estimated", est)
-        object.__setattr__(self, "reference", ref)
-
-
-def tv_predictive(table: PredictiveTable) -> float:
-    """Average binary total variation distance over the table's test points.
+def tv_predictive(estimated: np.ndarray, reference: np.ndarray) -> float:
+    """Average binary total variation distance between an estimated and a
+    reference predictive, given as class-1 probabilities per test point.
 
     Half the sum over both classes of the absolute probability deviations;
     for a binary table the two class deviations coincide, so this reduces to
     the mean absolute class-1 deviation.
     """
-    return float(np.abs(table.estimated - table.reference).mean())
+    est = np.asarray(estimated, dtype=float).ravel()
+    ref = np.asarray(reference, dtype=float).ravel()
+    if est.shape != ref.shape or est.size == 0:
+        raise ValueError("estimated and reference must share a positive length")
+    for arr in (est, ref):
+        if np.any(arr < 0) or np.any(arr > 1):
+            raise ValueError("probabilities must lie in [0, 1]")
+    return float(np.abs(est - ref).mean())
 
 
 class CoverageResult(NamedTuple):

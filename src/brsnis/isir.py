@@ -8,14 +8,16 @@ the rolling estimators average.
 
 ``isir_step`` is the step-by-step reference: it draws a uniform insertion
 slot for the state, then N-1 proposals, then one selection uniform.
-``run_chain`` and ``run_chains`` share one lockstep runner that keeps the
-state first in every pool and draws no slot; no law depends on the layout.
+``run_chains`` runs many chains in lockstep from the initial states it is
+given; it keeps the state first in every pool and draws no slot, and no law
+depends on the layout.  ``run_chain`` is ``run_chains`` with one chain
+started from one proposal draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -45,36 +47,25 @@ class WeightedPool:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Pool size, iteration count and the initial-state policy.
-
-    ``init`` is ``"proposal"`` (one fresh proposal draw, the default cold
-    start), ``"target"`` (requires the model's exact target sampler), or an
-    explicit point.
-    """
+    """Pool size and iteration count of one chain."""
 
     n_candidates: int
     n_iters: int
-    init: Union[str, np.ndarray] = "proposal"
 
     def __post_init__(self):
         if self.n_candidates < 2:
             raise ValueError("n_candidates must be at least 2")
         if self.n_iters < 1:
             raise ValueError("n_iters must be at least 1")
-        if isinstance(self.init, str):
-            if self.init not in ("proposal", "target"):
-                raise ValueError("init must be 'proposal', 'target' or a point")
-        else:
-            object.__setattr__(self, "init", np.asarray(self.init, dtype=float))
 
 
 @dataclass(frozen=True)
 class ChainTrace:
-    """The per-iteration recycled estimates and, when kept, the states
-    Y_0..Y_k.  From ``run_chains`` both carry a leading chain axis."""
+    """The per-iteration recycled estimates and the states Y_0..Y_k.  From
+    ``run_chains`` both carry a leading chain axis."""
 
     recycled_estimates: np.ndarray
-    states: Optional[np.ndarray] = None
+    states: np.ndarray
 
 
 def categorical_draw(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -118,33 +109,25 @@ def isir_step(model: ModelSpec, y: np.ndarray, f: TestFunction, n_candidates: in
     return points[selected], pool
 
 
-def _initial_states(model, init, n_chains, rng):
-    if isinstance(init, np.ndarray):
-        return np.tile(init.ravel(), (n_chains, 1))
-    if init == "target":
-        if model.target_sample is None:
-            raise ValueError("target-draw start requires model.target_sample")
-        return model.target_sample(rng, n_chains)
-    if init == "proposal":
-        return model.propose(rng, n_chains)
-    raise ValueError("init must be 'proposal', 'target' or a point")
+def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: int,
+               starts: np.ndarray, rng: np.random.Generator) -> ChainTrace:
+    """Run one chain per row of ``starts`` in lockstep off one shared generator.
 
-
-def _lockstep(model, f, n_candidates, n_iters, y, rng, keep_states):
-    """Run one chain per row of ``y``; returns the recycled estimates
-    ``(chains, iters[, q])`` and, if ``keep_states``, the states
-    ``(chains, iters + 1, dim)``."""
-    n_chains = len(y)
-    state_lw, f0 = model.log_weight(y), f(y)
+    Per iteration the generator gives all chains' N - 1 proposal draws, then
+    one selection uniform per chain; ``starts`` is left unmodified.  The trace
+    has recycled estimates ``(chains, iters[, q])`` and states
+    ``(chains, iters + 1, dim)``.
+    """
+    n_chains = len(starts)
+    state_lw, f0 = model.log_weight(starts), f(starts)
     # f values carry a trailing column axis, dropped again for a scalar f;
     # with one column the sums below are bitwise those of the 2-D arrays.
-    state_fv = f0.reshape(n_chains, -1)
+    # The copy keeps the moves below out of an f that returns a view.
+    state_fv = f0.reshape(n_chains, -1).copy()
     m = n_candidates - 1
     recycled = np.empty((n_chains, n_iters, state_fv.shape[1]))
-    states = None
-    if keep_states:
-        states = np.empty((n_chains, n_iters + 1, model.dim))
-        states[:, 0] = y
+    states = np.empty((n_chains, n_iters + 1, model.dim))
+    states[:, 0] = starts
     for step in range(n_iters):
         fresh = model.propose(rng, n_chains * m)
         lw = model.log_weight(fresh).reshape(n_chains, m)
@@ -164,36 +147,20 @@ def _lockstep(model, f, n_candidates, n_iters, y, rng, keep_states):
         cols = pick[moved] - 1
         state_lw[moved] = lw[moved, cols]
         state_fv[moved] = fv[moved, cols]
-        if keep_states:
-            y = y.copy()
-            y[moved] = fresh.reshape(n_chains, m, model.dim)[moved, cols]
-            states[:, step + 1] = y
-    return (recycled[:, :, 0] if f0.ndim == 1 else recycled), states
+        states[:, step + 1] = states[:, step]
+        states[moved, step + 1] = fresh.reshape(n_chains, m, model.dim)[moved, cols]
+    return ChainTrace(recycled_estimates=recycled[:, :, 0] if f0.ndim == 1 else recycled,
+                      states=states)
 
 
 def run_chain(model: ModelSpec, f: TestFunction, cfg: ChainConfig,
               rng: np.random.Generator) -> ChainTrace:
-    """Run one chain, with the random stream of ``run_chains`` with one
-    chain; recycled_estimates[l] is the pool-l SNIS estimate."""
-    recycled, states = _lockstep(model, f, cfg.n_candidates, cfg.n_iters,
-                                 _initial_states(model, cfg.init, 1, rng), rng, True)
-    return ChainTrace(recycled_estimates=recycled[0], states=states[0])
-
-
-def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: int,
-               n_chains: int, rng: np.random.Generator, init: str = "proposal",
-               keep_states: bool = False) -> ChainTrace:
-    """Run many independent chains in lockstep off one shared generator.
-
-    The generator gives the initial states, then per iteration all chains'
-    N - 1 proposal draws and one selection uniform per chain.  The trace has
-    recycled estimates ``(chains, iters[, q])`` and, only if ``keep_states``,
-    states ``(chains, iters + 1, dim)``.
-    """
-    recycled, states = _lockstep(model, f, n_candidates, n_iters,
-                                 _initial_states(model, init, n_chains, rng), rng,
-                                 keep_states)
-    return ChainTrace(recycled_estimates=recycled, states=states)
+    """Run one chain from one proposal draw: ``run_chains`` with one chain, on
+    the same stream; recycled_estimates[l] is the pool-l SNIS estimate."""
+    trace = run_chains(model, f, cfg.n_candidates, cfg.n_iters, model.propose(rng, 1),
+                       rng)
+    return ChainTrace(recycled_estimates=trace.recycled_estimates[0],
+                      states=trace.states[0])
 
 
 @dataclass(frozen=True)

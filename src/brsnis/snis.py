@@ -8,35 +8,11 @@ pure formula evaluators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class DegenerateWeightsError(ValueError):
     """All log weights are -inf: the sample carries no usable mass."""
-
-
-@dataclass(frozen=True)
-class WeightedSampleSet:
-    """Cached log weights and test-function values for one sample batch.
-
-    ``f_values`` may be ``(n,)`` for a scalar test function or ``(n, q)``
-    for ``q`` functions sharing the same weights.
-    """
-
-    log_weights: np.ndarray
-    f_values: np.ndarray
-
-    def __post_init__(self):
-        lw = np.asarray(self.log_weights, dtype=float).ravel()
-        fv = np.asarray(self.f_values, dtype=float)
-        if fv.ndim not in (1, 2):
-            raise ValueError("f_values must be one- or two-dimensional")
-        if lw.shape[0] < 1 or fv.shape[0] != lw.shape[0]:
-            raise ValueError("log_weights and f_values must share a positive length")
-        object.__setattr__(self, "log_weights", lw)
-        object.__setattr__(self, "f_values", fv)
 
 
 def normalize_weights(log_weights: np.ndarray) -> np.ndarray:
@@ -55,16 +31,23 @@ def normalize_weights(log_weights: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def snis_estimate(sample_set: WeightedSampleSet) -> float | np.ndarray:
-    """Self-normalized importance sampling estimate.
+def snis_estimate(log_weights: np.ndarray, f_values: np.ndarray) -> float | np.ndarray:
+    """Self-normalized importance sampling estimate from cached log weights
+    and test-function values of one sample batch.
 
-    Returns a float for scalar ``f_values`` and an array of per-column
-    estimates for matrix-valued ``f_values``.  The weighted sum uses numpy's
-    pairwise accumulation, keeping the floating error negligible against
-    bias measurements even for very large sample counts.
+    ``f_values`` may be ``(n,)`` for a scalar test function, giving a float,
+    or ``(n, q)`` for ``q`` functions sharing the same weights, giving an
+    array of per-column estimates.  The weighted sum uses numpy's pairwise
+    accumulation, keeping the floating error negligible against bias
+    measurements even for very large sample counts.
     """
-    weights = normalize_weights(sample_set.log_weights)
-    fv = sample_set.f_values
+    lw = np.asarray(log_weights, dtype=float).ravel()
+    fv = np.asarray(f_values, dtype=float)
+    if fv.ndim not in (1, 2):
+        raise ValueError("f_values must be one- or two-dimensional")
+    if lw.shape[0] < 1 or fv.shape[0] != lw.shape[0]:
+        raise ValueError("log_weights and f_values must share a positive length")
+    weights = normalize_weights(lw)
     if fv.ndim == 1:
         return float(np.sum(weights * fv))
     return np.sum(weights[:, None] * fv, axis=0)

@@ -23,7 +23,7 @@ from brsnis import (benchmark_mixture, bootstrap_br_snis, bound_constants,
                     snis_bias_bound, snis_estimate, snis_hpd_bound,
                     snis_mse_bound, synthetic_logistic_data)
 from brsnis import (CachedSampleBank, LogisticPosteriorSpec, ModelSpec,
-                    RollingConfig, TestFunction, WeightedSampleSet)
+                    RollingConfig, TestFunction)
 from brsnis.cli import main as cli_main
 
 ACCEPTANCE_SEED = 1234
@@ -96,8 +96,8 @@ def cold_chain_runs(mixture2):
     _, model, f, _ = mixture2
     runs = {}
     for tag, n in enumerate((8, 32, 128)):
-        batch = run_chains(model, f, n_candidates=n, n_iters=20,
-                           n_chains=10 ** 4, rng=rng_for(200 + tag))
+        rng = rng_for(200 + tag)
+        batch = run_chains(model, f, n, 20, model.propose(rng, 10 ** 4), rng)
         runs[n] = batch.recycled_estimates
     return runs
 
@@ -105,8 +105,8 @@ def cold_chain_runs(mixture2):
 class TestStationaryUnbiasedness:
     def test_single_step_recycled_estimates_center_on_truth(self, mixture2):
         _, model, f, truth = mixture2
-        batch = run_chains(model, f, n_candidates=32, n_iters=1,
-                           n_chains=10 ** 5, rng=rng_for(1), init="target")
+        rng = rng_for(1)
+        batch = run_chains(model, f, 32, 1, model.target_sample(rng, 10 ** 5), rng)
         values = batch.recycled_estimates[:, 0]
         se = values.std(ddof=1) / np.sqrt(len(values))
         gap = abs(values.mean() - truth)
@@ -180,8 +180,7 @@ class TestFixedBudgetComparison:
             for i in range(take):
                 bank = CachedSampleBank(lw[i, :m], fv[i, :m], float(lw[i, m]),
                                         fv[i, m])
-                snis_est[done + i] = snis_estimate(
-                    WeightedSampleSet(bank.log_weights, bank.f_values))
+                snis_est[done + i] = snis_estimate(bank.log_weights, bank.f_values)
                 br_est[done + i] = bootstrap_br_snis(bank, cfg, rounds, rng)
             done += take
         stats_snis = replication_stats(snis_est, truth, batch_size=100)
@@ -226,7 +225,8 @@ class TestHighProbabilityCoverage:
         _, model, f, truth = mixture2
         omega, kappa = constants2
         n, k, k0, delta = 32, 20, 10, 0.1
-        batch = run_chains(model, f, n, k, 10 ** 4, rng_for(6))
+        rng = rng_for(6)
+        batch = run_chains(model, f, n, k, model.propose(rng, 10 ** 4), rng)
         rolling = batch.recycled_estimates[:, k0:].mean(axis=1)
         consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), n)
         bound = rolling_hpd_bound(consts, delta, k0, k) * f.sup_bound
@@ -309,8 +309,8 @@ class TestKernelInvariants:
                          target_sample=lambda r, c: r.standard_normal((c, 1)))
         unit = TestFunction(fn=lambda pts: np.ones(len(pts)), sup_bound=1.0)
         n_flat, steps = 16, 10 ** 5
-        batch = run_chains(flat, unit, n_flat, 1, steps, rng_for(10),
-                           init="proposal", keep_states=True)
+        rng = rng_for(10)
+        batch = run_chains(flat, unit, n_flat, 1, flat.propose(rng, steps), rng)
         kept = np.all(batch.states[:, 1] == batch.states[:, 0], axis=1)
         p_keep = 1.0 / n_flat
         retention_gap = abs(kept.mean() - p_keep)
@@ -381,8 +381,7 @@ class TestSlicedWassersteinMixing:
             rng = rng_for(300 + tag)
             sw = np.empty((groups, k_max + 1))
             for g in range(groups):
-                batch = run_chains(model, f, n, k_max, chains, rng,
-                                   init="proposal", keep_states=True)
+                batch = run_chains(model, f, n, k_max, model.propose(rng, chains), rng)
                 reference = model.target_sample(rng, chains)
                 for k in range(k_max + 1):
                     # One shared projection set for every slice comparison:
@@ -438,8 +437,7 @@ class TestLogisticPredictiveOrdering:
             br_sum = np.zeros(len(x_test))
             for _ in range(reps):
                 bank = build_sample_bank(model, predictive, m, rng)
-                snis_sum += snis_estimate(WeightedSampleSet(bank.log_weights,
-                                                            bank.f_values))
+                snis_sum += snis_estimate(bank.log_weights, bank.f_values)
                 br_sum += bootstrap_br_snis(bank, cfg, rounds=k, rng=rng)
             tv_snis = np.abs(snis_sum / reps - reference).mean()
             tv_br = np.abs(br_sum / reps - reference).mean()

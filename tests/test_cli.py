@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import brsnis.model
-from brsnis import (LogisticPosteriorSpec, WeightedSampleSet, cli, logistic_predictive,
+from brsnis import (LogisticPosteriorSpec, cli, logistic_predictive,
                     make_logistic_posterior, snis_estimate, synthetic_logistic_data)
 from brsnis.cli import _write_outputs, main, replication_rng, seed_fingerprint
 
@@ -338,34 +338,48 @@ class TestDiagnoseCommand:
         ({"component": 3}, {}),
         ({"theta_star": [1.0, 2.0]}, {}),
         ({"prior_precision": 0}, {}),
+        ({}, {"budgets": []}),
     ], ids=["budget-not-split-by-pool", "no-replications", "no-test-points",
             "no-reference-draws", "component-not-below-dim", "theta-star-length",
-            "flat-prior"])
+            "flat-prior", "no-budgets"])
     def test_tv_schedule_checked_before_sampling(self, tmp_path, monkeypatch,
                                                  model, diagnostic):
         """Budget 18 is not a multiple of N - 1 = 4, zero replications, test
         points or reference draws leave nothing to average, a component or
-        theta_star outside the dim = 3 model cannot be used, and a zero prior
-        precision leaves no prior; all are rejected before the model draws its
-        data."""
+        theta_star outside the dim = 3 model cannot be used, a zero prior
+        precision leaves no prior and no budgets leave nothing to run; all are
+        rejected before the model draws its data."""
         forbid_sampling(monkeypatch)
         config = tv_config(tmp_path, model, **diagnostic)
         assert main(["diagnose", "--config", config]) == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     @pytest.mark.parametrize("diagnostic", [{"groups": 1}, {"k_max": 2},
-                                            {"projections": 0}, {"N": [4, 1]}],
+                                            {"projections": 0}, {"N": [4, 1]},
+                                            {"N": []}],
                              ids=["one-group", "too-few-iterations", "no-projections",
-                                  "one-candidate"])
+                                  "one-candidate", "no-pool-sizes"])
     def test_sw_section_checked_before_sampling(self, tmp_path, monkeypatch,
                                                 diagnostic):
         """One group has no standard error, k_max < 3 leaves too few points to
-        fit a rate, no projections average nothing and a pool needs two
-        candidates; all are rejected before any chain runs."""
+        fit a rate, no projections average nothing, a pool needs two
+        candidates and no pool sizes leave nothing to run; all are rejected
+        before any chain runs."""
         forbid_sampling(monkeypatch)
         config = sw_config(tmp_path, **diagnostic)
         assert main(["diagnose", "--config", config]) == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_sw_estimates_omega_only(self, tmp_path, monkeypatch):
+        """Only omega feeds the mixing rate, so without supplied constants the
+        sw diagnostic estimates no kappa."""
+        monkeypatch.setattr(cli, "estimate_kappa", fail_if_called)
+        config = sw_config(tmp_path)
+        assert main(["diagnose", "--config", config, "--override", "omega=null",
+                     "--override", "kappa=null", "--override", "estimate_draws=2000",
+                     "--override", "estimate_restarts=2"]) == 0
+        summary = json.loads((tmp_path / "sw.csv.summary.json").read_text())
+        assert all(entry["log_mixing_rate"] < 0 for entry in summary["per_n"])
 
     def test_tv_output_identical_across_thread_counts(self, tmp_path):
         config = tv_config(tmp_path, replications=6)
@@ -400,8 +414,7 @@ class TestDiagnoseCommand:
         points = model.propose(rng, draws)
         x_test = rng.standard_normal((test_points, 3))
         log_weights = model.log_weight(points)
-        expected = snis_estimate(WeightedSampleSet(
-            log_weights, logistic_predictive(points, x_test)))
+        expected = snis_estimate(log_weights, logistic_predictive(points, x_test))
         assert np.array_equal(cli._reference_predictive(log_weights, points, x_test),
                               expected)
 

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from brsnis import (PredictiveTable, coverage_check, fit_geometric_rate,
-                    lag_covariance, replication_stats, sliced_wasserstein,
-                    tv_predictive)
+from brsnis import (coverage_check, fit_geometric_rate, lag_covariance,
+                    replication_stats, sliced_wasserstein, tv_predictive)
 
 
 class TestReplicationStats:
@@ -67,8 +66,7 @@ class TestLagCovariance:
         kappa = estimate_kappa(model, 2 * 10 ** 5, rng)
         omega = estimate_omega(model, restarts=8, draws=2 * 10 ** 5, rng=rng)
         chains = 2 * 10 ** 4
-        batch = run_chains(model, f, n_candidates=16, n_iters=6,
-                           n_chains=chains, rng=rng)
+        batch = run_chains(model, f, 16, 6, model.propose(rng, chains), rng)
         consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), 16)
         rec = batch.recycled_estimates
         for lag in (1, 2):
@@ -126,26 +124,26 @@ class TestSlicedWasserstein:
 class TestTvPredictive:
     def test_equal_tables_zero(self):
         p = np.linspace(0.1, 0.9, 9)
-        assert tv_predictive(PredictiveTable(p, p)) == 0.0
+        assert tv_predictive(p, p) == 0.0
 
     def test_maximal_disagreement(self):
-        assert tv_predictive(PredictiveTable(np.ones(5), np.zeros(5))) == 1.0
+        assert tv_predictive(np.ones(5), np.zeros(5)) == 1.0
 
     def test_uniform_shift(self):
         p = np.full(10, 0.4)
-        assert tv_predictive(PredictiveTable(p + 0.1, p)) == pytest.approx(0.1)
+        assert tv_predictive(p + 0.1, p) == pytest.approx(0.1)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(12)
         a, b, c = rng.random((3, 40))
-        ab = tv_predictive(PredictiveTable(a, b))
-        bc = tv_predictive(PredictiveTable(b, c))
-        ac = tv_predictive(PredictiveTable(a, c))
+        ab = tv_predictive(a, b)
+        bc = tv_predictive(b, c)
+        ac = tv_predictive(a, c)
         assert ac <= ab + bc + 1e-12
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
-            PredictiveTable(np.array([1.2]), np.array([0.5]))
+            tv_predictive(np.array([1.2]), np.array([0.5]))
 
 
 class TestCoverageCheck:

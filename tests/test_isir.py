@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from brsnis import (ChainConfig, DegenerateWeightsError, ModelSpec, TestFunction,
-                    WeightedSampleSet, categorical_draw, isir_step,
-                    key_relation_check, normalize_weights, run_chain,
-                    run_chains, sliced_wasserstein, snis_estimate)
+                    categorical_draw, isir_step, key_relation_check,
+                    normalize_weights, run_chain, run_chains, sliced_wasserstein,
+                    snis_estimate)
 
 
 class _FixedUniform:
@@ -45,8 +45,13 @@ def table_models(draw):
     return model, TestFunction(fn=lambda x: fv[x[:, 0].astype(int)], sup_bound=1.0), finite
 
 
+def cold_chains(model, f, n, k, chains, rng):
+    """``run_chains`` from one proposal draw per chain."""
+    return run_chains(model, f, n, k, model.propose(rng, chains), rng)
+
+
 def per_pool_replay(model, f, n, k, chains, rng):
-    """``run_chains``' stream replayed one pool at a time with
+    """``cold_chains``' stream replayed one pool at a time with
     ``normalize_weights``: the initial states, then per step every chain's
     N - 1 proposals and one uniform per chain."""
     y = model.propose(rng, chains)
@@ -163,8 +168,8 @@ class TestRunChain:
             np.testing.assert_array_equal(trace.states[step], y)
             fresh = model.propose(rng, n - 1)
             u, lw, fv = rng.random(), model.log_weight(fresh), f(fresh)
-            assert level == pytest.approx(snis_estimate(WeightedSampleSet(
-                np.append(y_lw, lw), np.append(y_f, fv))), rel=1e-12)
+            assert level == pytest.approx(snis_estimate(
+                np.append(y_lw, lw), np.append(y_f, fv)), rel=1e-12)
             w = np.exp(np.append(y_lw, lw) - max(lw.max(), y_lw))
             assert level == (w[0] * y_f + (w[1:] * fv).sum()) / (w[1:].sum() + w[0])
             j = min(int(np.searchsorted(np.cumsum(w), u * (w[1:].sum() + w[0]))), n - 1)
@@ -195,8 +200,8 @@ class TestRunChain:
                           sup_bound=1.0)
         for run in (lambda g: run_chain(model, g, ChainConfig(9, 5),
                                         np.random.default_rng(21)).recycled_estimates,
-                    lambda g: run_chains(model, g, 9, 5, 3,
-                                         np.random.default_rng(21)).recycled_estimates):
+                    lambda g: cold_chains(model, g, 9, 5, 3,
+                                          np.random.default_rng(21)).recycled_estimates):
             scalar, vector = run(f), run(f2)
             assert vector.shape == scalar.shape + (2,)
             np.testing.assert_allclose(vector[..., 0], scalar, rtol=1e-12, atol=1e-15)
@@ -209,30 +214,37 @@ class TestRunChain:
             run_chain(model, unit_function(), ChainConfig(4, 2),
                       np.random.default_rng(23))
 
-    def test_explicit_and_target_starts(self, mixture2):
+    def test_is_run_chains_from_one_proposal_draw(self, mixture2):
+        """Bit for bit ``run_chains`` with one chain started from
+        ``model.propose(rng, 1)`` on the same generator."""
         _, model, f, _ = mixture2
-        start = np.array([0.5, 0.5])
-        trace = run_chain(model, f, ChainConfig(4, 1, start),
-                          np.random.default_rng(9))
-        np.testing.assert_array_equal(trace.states[0], start)
-        trace = run_chain(model, f, ChainConfig(4, 1, "target"),
-                          np.random.default_rng(10))
-        assert trace.states.shape == (2, 2)
+        trace = run_chain(model, f, ChainConfig(7, 9), np.random.default_rng(24))
+        rng = np.random.default_rng(24)
+        batch = run_chains(model, f, 7, 9, model.propose(rng, 1), rng)
+        np.testing.assert_array_equal(trace.recycled_estimates,
+                                      batch.recycled_estimates[0])
+        np.testing.assert_array_equal(trace.states, batch.states[0])
 
-    def test_target_start_requires_sampler(self):
-        model = ModelSpec(dim=1, log_weight=lambda x: np.zeros(len(x)),
-                          propose=lambda rng, n: rng.standard_normal((n, 1)))
-        with pytest.raises(ValueError):
-            run_chain(model, unit_function(), ChainConfig(4, 1, "target"),
-                      np.random.default_rng(11))
+    def test_explicit_and_target_starts(self, mixture2):
+        """``run_chains`` begins at the starts it is given, explicit points or
+        target draws, and leaves the caller's array as it was, also under an
+        f that returns a view of its points."""
+        _, model, _, _ = mixture2
+        first = TestFunction(fn=lambda pts: pts[:, 0], sup_bound=10.0)
+        rng = np.random.default_rng(9)
+        for starts in (np.array([[0.5, 0.5], [-1.0, 2.0], [3.0, -3.0]]),
+                       model.target_sample(rng, 3)):
+            given = starts.copy()
+            batch = run_chains(model, first, 5, 6, starts, rng)
+            np.testing.assert_array_equal(starts, given)
+            np.testing.assert_array_equal(batch.states[:, 0], given)
+            assert (batch.states[:, -1] != given).any()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ChainConfig(1, 5)
         with pytest.raises(ValueError):
             ChainConfig(4, 0)
-        with pytest.raises(ValueError):
-            ChainConfig(4, 5, "somewhere")
 
 
 class TestRunChains:
@@ -240,8 +252,8 @@ class TestRunChains:
         """Recycled estimates from target-initialized single steps center on
         the analytic truth."""
         _, model, f, truth = mixture2
-        batch = run_chains(model, f, n_candidates=32, n_iters=1, n_chains=10 ** 4,
-                           rng=np.random.default_rng(12), init="target")
+        rng = np.random.default_rng(12)
+        batch = run_chains(model, f, 32, 1, model.target_sample(rng, 10 ** 4), rng)
         est = batch.recycled_estimates[:, 0]
         se = est.std(ddof=1) / np.sqrt(len(est))
         assert abs(est.mean() - truth) <= 4.0 * se
@@ -251,15 +263,14 @@ class TestRunChains:
         same law."""
         _, model, f, _ = mixture2
         n, k, reps = 8, 3, 1500
-        batch = run_chains(model, f, n, k, reps, np.random.default_rng(13))
+        batch = cold_chains(model, f, n, k, reps, np.random.default_rng(13))
         rng = np.random.default_rng(14)
         seq = np.empty((reps, k))
         for rep in range(reps):
             y = model.propose(rng, 1)[0]
             for step in range(k):
                 y, pool = isir_step(model, y, f, n, rng)
-                seq[rep, step] = snis_estimate(
-                    WeightedSampleSet(pool.log_weights, pool.f_values))
+                seq[rep, step] = snis_estimate(pool.log_weights, pool.f_values)
         for step in range(k):
             a, b = batch.recycled_estimates[:, step], seq[:, step]
             se = np.sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)
@@ -271,8 +282,7 @@ class TestRunChains:
         spec, model, f, _ = mixture2
         rng = np.random.default_rng(15)
         chains = 3000
-        batch = run_chains(model, f, n_candidates=16, n_iters=1, n_chains=chains,
-                           rng=rng, init="target", keep_states=True)
+        batch = run_chains(model, f, 16, 1, model.target_sample(rng, chains), rng)
         moved = batch.states[:, 1]
         reference = model.target_sample(rng, chains)
         sw_chain = sliced_wasserstein(moved, reference, 64,
@@ -293,7 +303,7 @@ class TestRunChains:
         pool's normalize_weights estimate, or the same degenerate pool."""
         model, f, finite = case
         fast, slow = (outcome(run, model, f, n, k, chains, np.random.default_rng(seed))
-                      for run in (run_chains, per_pool_replay))
+                      for run in (cold_chains, per_pool_replay))
         if finite == "none" or isinstance(slow, str):
             assert (fast, slow) == ("degenerate", "degenerate")
         else:

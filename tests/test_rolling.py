@@ -241,7 +241,7 @@ class TestRollingBounds:
         kappa = estimate_kappa(model, 2 * 10 ** 5, rng)
         omega = estimate_omega(model, restarts=8, draws=2 * 10 ** 5, rng=rng)
         n, k, k0, chains = 17, 16, 8, 5000
-        batch = run_chains(model, f, n, k, chains, rng)
+        batch = run_chains(model, f, n, k, model.propose(rng, chains), rng)
         values = batch.recycled_estimates[:, k0:].mean(axis=1)
         consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), n)
         bias = abs(values.mean() - truth)
@@ -257,7 +257,8 @@ class TestBiasTrend:
         """Burn-in of 0, half, and all-but-one orders the empirical bias."""
         _, model, f, truth = mixture2
         n, k, chains = 16, 12, 10 ** 4
-        batch = run_chains(model, f, n, k, chains, np.random.default_rng(20))
+        rng = np.random.default_rng(20)
+        batch = run_chains(model, f, n, k, model.propose(rng, chains), rng)
         rec = batch.recycled_estimates
         biases = {}
         ses = {}

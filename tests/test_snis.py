@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brsnis import (DegenerateWeightsError, WeightedSampleSet, coverage_check,
-                    normalize_weights, snis_bias_bound, snis_estimate,
-                    snis_hpd_bound, snis_mse_bound)
+from brsnis import (DegenerateWeightsError, coverage_check, normalize_weights,
+                    snis_bias_bound, snis_estimate, snis_hpd_bound, snis_mse_bound)
 
 
 class TestNormalizeWeights:
@@ -41,23 +40,23 @@ class TestNormalizeWeights:
 
 class TestSnisEstimate:
     def test_uniform_weights_give_plain_mean(self):
-        est = snis_estimate(WeightedSampleSet(np.zeros(4), [1.0, 2.0, 3.0, 4.0]))
+        est = snis_estimate(np.zeros(4), [1.0, 2.0, 3.0, 4.0])
         assert est == pytest.approx(2.5, abs=1e-14)
 
     def test_hand_value(self):
-        est = snis_estimate(WeightedSampleSet([0.0, np.log(3.0)], [0.0, 1.0]))
+        est = snis_estimate([0.0, np.log(3.0)], [0.0, 1.0])
         assert est == pytest.approx(0.75, abs=1e-14)
 
     def test_constant_function_exact(self):
         rng = np.random.default_rng(2)
-        est = snis_estimate(WeightedSampleSet(rng.normal(size=200), np.full(200, 3.7)))
+        est = snis_estimate(rng.normal(size=200), np.full(200, 3.7))
         assert est == pytest.approx(3.7, abs=1e-12)
 
     def test_matrix_valued_columns(self):
         lw = np.array([0.0, np.log(3.0)])
         fv = np.array([[0.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose(
-            snis_estimate(WeightedSampleSet(lw, fv)), [0.75, 1.75])
+            snis_estimate(lw, fv), [0.75, 1.75])
 
     @given(st.floats(-200.0, 200.0))
     @settings(max_examples=30, deadline=None)
@@ -65,8 +64,8 @@ class TestSnisEstimate:
         rng = np.random.default_rng(3)
         lw = rng.normal(size=64)
         fv = rng.normal(size=64)
-        base = snis_estimate(WeightedSampleSet(lw, fv))
-        shifted = snis_estimate(WeightedSampleSet(lw + shift, fv))
+        base = snis_estimate(lw, fv)
+        shifted = snis_estimate(lw + shift, fv)
         assert shifted == pytest.approx(base, rel=1e-10, abs=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -76,19 +75,19 @@ class TestSnisEstimate:
         n = int(rng.integers(2, 100))
         lw = rng.normal(scale=5.0, size=n)
         fv = rng.normal(size=n)
-        base = snis_estimate(WeightedSampleSet(lw, fv))
+        base = snis_estimate(lw, fv)
         perm = rng.permutation(n)
-        assert snis_estimate(WeightedSampleSet(lw[perm], fv[perm])) == \
+        assert snis_estimate(lw[perm], fv[perm]) == \
             pytest.approx(base, rel=1e-10, abs=1e-12)
         assert abs(base) <= np.max(np.abs(fv)) + 1e-12
 
     def test_degenerate_propagates(self):
         with pytest.raises(DegenerateWeightsError):
-            snis_estimate(WeightedSampleSet([-np.inf, -np.inf], [0.0, 1.0]))
+            snis_estimate([-np.inf, -np.inf], [0.0, 1.0])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            WeightedSampleSet([0.0, 0.0], [1.0])
+            snis_estimate([0.0, 0.0], [1.0])
 
 
 class TestClosedFormBounds:
