@@ -112,7 +112,7 @@ REQUIRED = object()
 _COMMON_KEYS = {
     "schema": (int, REQUIRED, 1), "model": (dict, REQUIRED, None), "seed": (int, 0, 0),
     "omega": (float, None, 1.0), "kappa": (float, None, 1.0),
-    "estimate_draws": (int, 10 ** 6, 1), "estimate_restarts": (int, 32, 1)}
+    "estimate_draws": (int, 10 ** 6, 2), "estimate_restarts": (int, 32, 1)}
 CONFIG_KEYS = {
     "bounds": {**_COMMON_KEYS, "grid": (list[dict], [], None)},
     "experiment": {**_COMMON_KEYS, "estimator": (ESTIMATORS, "snis", None),
@@ -216,17 +216,20 @@ def build_model(section: dict) -> BuiltModel:
 
 
 def resolve_constants(config: dict, built: BuiltModel) -> tuple[float, float, bool]:
-    """Config-supplied (omega, kappa) or Monte Carlo estimates."""
+    """Config-supplied (omega, kappa), or estimates from the log weights of the
+    constants stream's first ``estimate_draws`` proposal draws, which both
+    estimates read; omega's ``estimate_restarts`` starts come next."""
     omega, kappa = config["omega"], config["kappa"]
     estimated = omega is None or kappa is None
     if estimated:
-        rng = _stream_rng(config["seed"], _CONSTANTS_STREAM)
-        draws, restarts = config["estimate_draws"], config["estimate_restarts"]
+        rng, model = _stream_rng(config["seed"], _CONSTANTS_STREAM), built.model
+        log_weights = model.log_weight(model.propose(rng, config["estimate_draws"]))
         # Both are at least 1 by definition; a Monte Carlo estimate can fall short.
         if kappa is None:
-            kappa = max(estimate_kappa(built.model, draws, rng), 1.0)
+            kappa = max(estimate_kappa(log_weights), 1.0)
         if omega is None:
-            omega = max(estimate_omega(built.model, restarts, draws, rng), 1.0)
+            omega = max(estimate_omega(model, log_weights, config["estimate_restarts"],
+                                       rng), 1.0)
     return float(omega), float(kappa), estimated
 
 
@@ -434,8 +437,7 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict) -> tuple[list[s
     if built.model.target_sample is None:
         raise ConfigError("sliced Wasserstein diagnostics need an exact target sampler")
     seed, k_max, groups = config["seed"], section["k_max"], section["groups"]
-    # Only omega feeds the mixing rate; a placeholder kappa skips its estimate.
-    omega, _, _ = resolve_constants({**config, "kappa": 1.0}, built)
+    omega, _, _ = resolve_constants(config, built)
     rows = []
     summary = {"per_n": []}
     for gi, n in enumerate(section["N"]):

@@ -436,53 +436,49 @@ def logistic_predictive(theta: np.ndarray, covariates: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def estimate_kappa(model: ModelSpec, draws: int, rng: np.random.Generator) -> float:
-    """Plug-in estimate of the chi-square weight constant lambda(w^2)/lambda(w)^2.
+def estimate_kappa(log_weights: np.ndarray) -> float:
+    """Plug-in estimate of the chi-square weight constant lambda(w^2)/lambda(w)^2
+    from the log weights of i.i.d. proposal draws.  Computed in log space, so
+    the result is invariant to any constant shift of the log weights."""
+    n = len(log_weights)
+    if n < 2:
+        raise ValueError("kappa needs the log weights of at least 2 draws")
+    return float(np.exp(logsumexp(2.0 * log_weights) - 2.0 * logsumexp(log_weights)
+                        + np.log(n)))
 
-    Computed in log space from i.i.d. proposal draws, so the result is
-    invariant to any constant shift of ``log_weight``.
-    """
-    if draws < 2:
-        raise ValueError("draws must be at least 2")
-    lw = model.log_weight(model.propose(rng, draws))
-    return float(np.exp(logsumexp(2.0 * lw) - 2.0 * logsumexp(lw) + np.log(draws)))
 
-
-def estimate_omega(model: ModelSpec, restarts: int = 32, draws: int = 10 ** 6,
-                   rng: Optional[np.random.Generator] = None) -> float:
+def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
+                   rng: np.random.Generator) -> float:
     """Plug-in estimate of sup w / lambda(w).
 
     The numerator is maximized by Nelder-Mead from ``restarts`` proposal
     draws (the weight surface of the built-in mixture is multimodal, so a
     derivative-free multistart is used); the denominator is the log-space
-    sample mean of the weight over ``draws`` proposal points.  Only the
-    maximized numerator is a lower bound on sup w; the denominator is a
-    Monte Carlo mean with relative standard error about
-    sqrt((kappa - 1) / draws), so the ratio can land on either side of the
-    true constant.
+    mean of ``exp(log_weights)``, the weights of i.i.d. proposal draws, such
+    as the sample ``estimate_kappa`` reads.  Only the maximized numerator is
+    a lower bound on sup w; the denominator is a Monte Carlo mean with
+    relative standard error about sqrt((kappa - 1) / len(log_weights)), so
+    the ratio can land on either side of the true constant.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng()
     starts = model.propose(rng, restarts)
-    # A finite-weight surface gains at most a few nats over a random start;
-    # a runaway optimum signals an unbounded weight function.
+    # A finite-weight surface gains at most a few nats over a random start; a
+    # runaway or NaN log weight signals an unbounded one and stops the search.
     ceiling = float(model.log_weight(starts).max()) + 500.0
 
     def objective(v):
-        return -float(model.log_weight(v[None, :])[0])
+        lw = float(model.log_weight(v[None, :])[0])
+        if not lw < ceiling:
+            raise UnboundedWeightError(
+                "weight maximization diverged; the bounded-weight assumption "
+                "appears violated")
+        return -lw
 
     best = -np.inf
     for start in starts:
         res = minimize(objective, start, method="Nelder-Mead",
                        options={"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-10})
-        val = -res.fun
-        if not np.isfinite(val) or val > ceiling:
-            raise UnboundedWeightError(
-                "weight maximization diverged; the bounded-weight assumption "
-                "appears violated")
-        best = max(best, val)
-    lw = model.log_weight(model.propose(rng, draws))
-    log_mean_weight = logsumexp(lw) - np.log(draws)
+        best = max(best, -res.fun)
+    log_mean_weight = logsumexp(log_weights) - np.log(len(log_weights))
     return float(np.exp(best - log_mean_weight))

@@ -85,9 +85,8 @@ def constants2(mixture2):
     """Estimated weight constants for the two-dimensional benchmark."""
     _, model, _, _ = mixture2
     rng = rng_for(100)
-    kappa = estimate_kappa(model, 10 ** 6, rng)
-    omega = estimate_omega(model, restarts=32, draws=10 ** 6, rng=rng)
-    return omega, kappa
+    log_weights = model.log_weight(model.propose(rng, 10 ** 6))
+    return estimate_omega(model, log_weights, 32, rng), estimate_kappa(log_weights)
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +233,8 @@ class TestHighProbabilityCoverage:
 
         _, model1, f1, truth1 = gauss_student_1d
         rng = rng_for(7)
-        omega1 = estimate_omega(model1, restarts=8, draws=2 * 10 ** 5, rng=rng)
+        log_weights1 = model1.log_weight(model1.propose(rng, 2 * 10 ** 5))
+        omega1 = estimate_omega(model1, log_weights1, 8, rng)
         estimates = snis_batch(model1, f1, 1000, 10 ** 4, rng)
         bound1 = snis_hpd_bound(max(omega1, 1.0), 1000, delta) * f1.sup_bound
         snis_cov = coverage_check(estimates, truth1, bound1, delta)
@@ -249,8 +249,9 @@ class TestWeightConstantsReproduction:
         spec = benchmark_mixture(7)
         model = make_gaussian_mixture(spec)
         rng = rng_for(8)
-        kappa = estimate_kappa(model, 10 ** 6, rng)
-        omega = estimate_omega(model, restarts=32, draws=10 ** 6, rng=rng)
+        log_weights = model.log_weight(model.propose(rng, 10 ** 6))
+        kappa = estimate_kappa(log_weights)
+        omega = estimate_omega(model, log_weights, 32, rng)
         omega_star, weights = exact_mixture_constants(spec, model, 10 ** 6,
                                                       rng_for(15))
         kappa_star = weights.mean()
@@ -268,8 +269,9 @@ class TestWeightConstantsReproduction:
         model = make_gaussian_mixture(spec)
         n = 10 ** 6
         rng = rng_for(16)
-        kappa = estimate_kappa(model, n, rng)
-        omega = estimate_omega(model, restarts=32, draws=n, rng=rng)
+        log_weights = model.log_weight(model.propose(rng, n))
+        kappa = estimate_kappa(log_weights)
+        omega = estimate_omega(model, log_weights, 32, rng)
         omega_star, w = exact_mixture_constants(spec, model, n, rng_for(17))
         kappa_star = w.mean()
         # Under the proposal w has mean 1, and each pi-moment of w is the

@@ -1,5 +1,6 @@
 """CLI subcommands: config handling, determinism, budgets, exit codes."""
 
+import dataclasses
 import json
 import os
 import runpy
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import brsnis.model
-from brsnis import (LogisticPosteriorSpec, cli, logistic_predictive,
-                    make_logistic_posterior, snis_estimate, synthetic_logistic_data)
+from brsnis import (CountingModel, LogisticPosteriorSpec, cli, logistic_predictive,
+                    make_logistic_posterior, mixing_rate, snis_estimate,
+                    synthetic_logistic_data)
 from brsnis.cli import _write_outputs, main, replication_rng, seed_fingerprint
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -144,12 +146,15 @@ class TestBoundsCommand:
         ({"kappa": 0.5}, [], "kappa must be float >= 1.0"),
         ({}, ["--out", "bounds.json"], "unknown bounds keys: ['out']"),
         ({}, ["--threads", "0"], "--threads must be at least 1"),
-    ], ids=["omega-below-one", "kappa-below-one", "out-flag", "no-threads"])
+        ({"estimate_draws": 1}, [], "estimate_draws must be int >= 2"),
+    ], ids=["omega-below-one", "kappa-below-one", "out-flag", "no-threads",
+            "one-estimate-draw"])
     def test_config_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                             constants, argv, message):
-        """omega and kappa are at least 1 by definition, bounds writes no file
-        and a run needs a thread; kappa 0.5 used to exit 3 from the bound,
-        omega 0.2 and --threads 0 ran, and --out was read by nothing."""
+        """omega and kappa are at least 1 by definition, bounds writes no file,
+        a run needs a thread and kappa two weights; kappa 0.5 used to exit 3
+        from the bound, omega 0.2 and --threads 0 ran, --out was read by
+        nothing and one estimate draw exited 3 after the model was built."""
         forbid_sampling(monkeypatch)
         config = write_config(tmp_path, {
             "schema": 1, "model": {"name": "gaussian-mixture", "dim": 2},
@@ -370,16 +375,34 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", config]) == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
-    def test_sw_estimates_omega_only(self, tmp_path, monkeypatch):
-        """Only omega feeds the mixing rate, so without supplied constants the
-        sw diagnostic estimates no kappa."""
-        monkeypatch.setattr(cli, "estimate_kappa", fail_if_called)
-        config = sw_config(tmp_path)
-        assert main(["diagnose", "--config", config, "--override", "omega=null",
-                     "--override", "kappa=null", "--override", "estimate_draws=2000",
-                     "--override", "estimate_restarts=2"]) == 0
+    def test_sw_estimates_constants_as_bounds_does(self, tmp_path, monkeypatch, capsys):
+        """Without supplied constants, sw and ``bounds`` draw the constants
+        once each, ``estimate_draws`` weights then ``estimate_restarts``
+        starts, and sw's mixing rate is that of the omega ``bounds`` reports
+        at the same seed."""
+        drawn = []
+        resolve = cli.resolve_constants
+
+        def counted(config, built):
+            counter = CountingModel(built.model)
+            result = resolve(config, dataclasses.replace(built, model=counter))
+            drawn.append(counter.proposal_draws)
+            return result
+
+        monkeypatch.setattr(cli, "resolve_constants", counted)
+        estimate = ["--override", "estimate_draws=2000",
+                    "--override", "estimate_restarts=2"]
+        config = write_config(tmp_path, {
+            "schema": 1, "model": {"name": "gaussian-mixture", "dim": 2}, "seed": 5,
+            "grid": [{"N": 4}]}, "bounds.json")
+        assert main(["bounds", "--config", config, *estimate]) == 0
+        omega = json.loads(capsys.readouterr().out)["omega"]
+        assert main(["diagnose", "--config", sw_config(tmp_path), *estimate,
+                     "--override", "omega=null", "--override", "kappa=null"]) == 0
+        assert drawn == [2002, 2002]
         summary = json.loads((tmp_path / "sw.csv.summary.json").read_text())
-        assert all(entry["log_mixing_rate"] < 0 for entry in summary["per_n"])
+        assert [entry["log_mixing_rate"] for entry in summary["per_n"]] == \
+            [float(np.log(mixing_rate(omega, n))) for n in (4, 8)]
 
     def test_tv_output_identical_across_thread_counts(self, tmp_path):
         config = tv_config(tmp_path, replications=6)
@@ -455,6 +478,18 @@ class TestExitCodes:
         config = experiment_config(tmp_path,
                                    out=str(tmp_path / "missing" / "out.csv"))
         assert main(["experiment", "--config", config]) == 3
+
+    def test_unbounded_weight_is_runtime_error(self, tmp_path, capsys):
+        """The Gaussian proposal of the logistic posterior is narrower than
+        its prior, so the weight is unbounded: omega's search stops with its
+        own message before the surface overflows (RuntimeWarnings are errors
+        in this suite, and used to end the run with an overflow message)."""
+        config = experiment_config(tmp_path, omega=None, estimate_draws=2000,
+                                   model={"name": "logistic-synthetic", "dim": 3,
+                                          "n_obs": 40})
+        assert main(["experiment", "--config", config]) == 3
+        assert capsys.readouterr().err.startswith(
+            "runtime error: weight maximization diverged")
 
     def test_parse_error(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -63,8 +63,9 @@ class TestLagCovariance:
                             pool_cov_bound, run_chains)
         _, model, f, truth = mixture2
         rng = np.random.default_rng(14)
-        kappa = estimate_kappa(model, 2 * 10 ** 5, rng)
-        omega = estimate_omega(model, restarts=8, draws=2 * 10 ** 5, rng=rng)
+        log_weights = model.log_weight(model.propose(rng, 2 * 10 ** 5))
+        kappa = estimate_kappa(log_weights)
+        omega = estimate_omega(model, log_weights, 8, rng)
         chains = 2 * 10 ** 4
         batch = run_chains(model, f, 16, 6, model.propose(rng, chains), rng)
         consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), 16)

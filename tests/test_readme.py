@@ -1,0 +1,14 @@
+"""The README's library quickstart runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quickstart_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                        re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert "bias bound:" in capsys.readouterr().out

@@ -238,8 +238,9 @@ class TestRollingBounds:
                             rolling_bias_bound, rolling_mse_bound)
         _, model, f, truth = mixture2
         rng = np.random.default_rng(30)
-        kappa = estimate_kappa(model, 2 * 10 ** 5, rng)
-        omega = estimate_omega(model, restarts=8, draws=2 * 10 ** 5, rng=rng)
+        log_weights = model.log_weight(model.propose(rng, 2 * 10 ** 5))
+        kappa = estimate_kappa(log_weights)
+        omega = estimate_omega(model, log_weights, 8, rng)
         n, k, k0, chains = 17, 16, 8, 5000
         batch = run_chains(model, f, n, k, model.propose(rng, chains), rng)
         values = batch.recycled_estimates[:, k0:].mean(axis=1)
