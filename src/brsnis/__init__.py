@@ -16,8 +16,8 @@ from .bounds import (BoundConstants, bound_constants, mixing_rate, mixing_time,
 from .diagnostics import (ReplicationSummary, coverage_check, fit_geometric_rate,
                           lag_covariance, replication_stats, sliced_wasserstein,
                           tv_predictive)
-from .isir import (ChainConfig, ChainTrace, WeightedPool, categorical_draw, isir_step,
-                   key_relation_check, run_chain, run_chains)
+from .isir import (ChainTrace, RollingConfig, WeightedPool, categorical_draw,
+                   isir_step, key_relation_check, run_chain, run_chains)
 from .model import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec,
                     NewtonConvergenceError, TestFunction, UnboundedWeightError,
                     benchmark_mixture, estimate_kappa, estimate_omega,
@@ -25,15 +25,15 @@ from .model import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec
                     make_gaussian_mixture, make_logistic_posterior,
                     mixture_rectangle_probability, mixture_test_function,
                     mixture_truth, synthetic_logistic_data)
-from .rolling import (CachedSampleBank, RollingConfig, bootstrap_br_snis,
-                      build_sample_bank, rolling_estimate)
+from .rolling import (CachedSampleBank, bootstrap_br_snis, build_sample_bank,
+                      rolling_estimate)
 from .snis import (DegenerateWeightsError, normalize_weights, snis_bias_bound,
                    snis_estimate, snis_hpd_bound, snis_mse_bound)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundConstants", "CachedSampleBank", "ChainConfig", "ChainTrace",
+    "BoundConstants", "CachedSampleBank", "ChainTrace",
     "CountingModel", "DegenerateWeightsError", "LogisticPosteriorSpec",
     "MixtureSpec", "ModelSpec", "NewtonConvergenceError", "ReplicationSummary",
     "RollingConfig", "TestFunction", "UnboundedWeightError", "WeightedPool",

@@ -2,10 +2,11 @@
 distance diagnostics, all driven by one JSON config document.
 
 Seed discipline: replication r of grid point g derives its generator from
-``SeedSequence([seed, g, r])``; auxiliary streams (constant estimation,
-diagnostic references) use fixed large stream tags documented below.  Every
-replication owns its whole stream, so output is byte-identical regardless of
-worker count.
+``SeedSequence([seed, g, r])``; so does group r of the sliced-Wasserstein
+diagnostic's pool size g.  Auxiliary streams (constant estimation,
+diagnostic references, synthetic data) use fixed large stream tags
+documented below.  Every replication or group owns its whole stream, so
+output is byte-identical regardless of worker count.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on runtime errors.
 """
@@ -25,14 +26,13 @@ import numpy as np
 from . import bounds as bounds_mod
 from .diagnostics import (fit_geometric_rate, replication_stats, sliced_wasserstein,
                           tv_predictive)
-from .isir import ChainConfig, run_chain, run_chains
+from .isir import RollingConfig, run_chain, run_chains
 from .model import (CountingModel, LogisticPosteriorSpec, ModelSpec, TestFunction,
                     benchmark_mixture, estimate_kappa, estimate_omega,
                     logistic_predictive, make_gaussian_mixture,
                     make_logistic_posterior, mixture_test_function, mixture_truth,
                     row_blocks, synthetic_logistic_data)
-from .rolling import (RollingConfig, bootstrap_br_snis, build_sample_bank,
-                      rolling_estimate)
+from .rolling import bootstrap_br_snis, build_sample_bank, rolling_estimate
 from .snis import (normalize_weights, snis_bias_bound, snis_estimate, snis_hpd_bound,
                    snis_mse_bound)
 
@@ -138,7 +138,8 @@ CONFIG_KEYS = {
 
 def _checked(where: str, value, kind, least):
     """``value`` as a ``kind``, or ConfigError if it is not one or is below
-    ``least``.  An int also takes an integral float; true/false is no number.
+    ``least``.  An int also takes an integral float; true/false is no number,
+    and a float must be finite.
     A list is checked item by item, and must not be empty if it has a least."""
     if get_args(kind) and isinstance(value, list) and (value or least is None):
         return [_checked(where, item, get_args(kind)[0], least) for item in value]
@@ -147,6 +148,7 @@ def _checked(where: str, value, kind, least):
         value = kind(value)
     if isinstance(kind, tuple) and value in kind or (
             type(kind) is type and isinstance(value, kind) and type(value) is not bool
+            and (kind is not float or np.isfinite(value))
             and (least is None or value >= least)):
         return value
     raise ConfigError(f"{where} must be {getattr(kind, '__name__', kind)}"
@@ -275,16 +277,15 @@ def run_replication(estimator: str, built: BuiltModel, point: dict,
         m = point["M"]
         draws = counter.propose(rng, m)
         estimate = snis_estimate(counter.log_weight(draws), f(draws))
-    elif estimator in ("isir-state", "br-snis"):
-        trace = run_chain(counter, f, ChainConfig(point["N"], point["k"]), rng)
-        if estimator == "br-snis":
-            estimate = rolling_estimate(trace, point["k0"])
-        else:
-            estimate = float(np.mean(f(trace.states[point["k0"] + 1:])))
     else:
-        bank = build_sample_bank(counter, f, point["M"], rng)
         cfg = RollingConfig(point["N"], point["k"], point["k0"])
-        estimate = bootstrap_br_snis(bank, cfg, point["rounds"], rng)
+        if estimator == "br-snis-bootstrap":
+            bank = build_sample_bank(counter, f, point["M"], rng)
+            estimate = bootstrap_br_snis(bank, cfg, point["rounds"], rng)
+        else:
+            trace = run_chain(counter, f, cfg, rng)
+            estimate = (rolling_estimate(trace, cfg.burn_in) if estimator == "br-snis"
+                        else float(np.mean(f(trace.states[cfg.burn_in + 1:]))))
     return float(estimate), counter.proposal_draws
 
 
@@ -433,25 +434,26 @@ def cmd_experiment(config: dict, threads: int) -> int:
     return 0
 
 
-def _diagnose_sw(config: dict, built: BuiltModel, section: dict) -> tuple[list[str], dict]:
+def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
+                 threads: int) -> tuple[list[str], dict]:
+    """Group r of the g-th pool size runs off ``replication_rng(seed, g, r)``;
+    every distance projects on the one direction set of the reference stream."""
     if built.model.target_sample is None:
         raise ConfigError("sliced Wasserstein diagnostics need an exact target sampler")
     seed, k_max, groups = config["seed"], section["k_max"], section["groups"]
+    model, chains = built.model, section["chains"]
     omega, _, _ = resolve_constants(config, built)
     rows = []
     summary = {"per_n": []}
     for gi, n in enumerate(section["N"]):
-        rng = replication_rng(seed, gi, 0)
-        sw_by_k = np.empty((groups, k_max + 1))
-        for group in range(groups):
-            batch = run_chains(built.model, built.f, n, k_max,
-                               built.model.propose(rng, section["chains"]), rng)
-            reference = built.model.target_sample(rng, section["chains"])
-            for k in range(k_max + 1):
-                proj_rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, _REFERENCE_STREAM, gi, k]))
-                sw_by_k[group, k] = sliced_wasserstein(
-                    batch.states[:, k], reference, section["projections"], proj_rng)
+        def one(rng):
+            batch = run_chains(model, built.f, n, k_max, model.propose(rng, chains), rng)
+            reference = model.target_sample(rng, chains)
+            return [sliced_wasserstein(batch.states[:, k], reference, section["projections"],
+                                       _stream_rng(seed, _REFERENCE_STREAM))
+                    for k in range(k_max + 1)]
+
+        sw_by_k = np.array(_replicate(seed, gi, groups, threads, one))
         means = sw_by_k.mean(axis=0)
         ses = sw_by_k.std(axis=0, ddof=1) / np.sqrt(groups)
         for k in range(k_max + 1):
@@ -557,8 +559,8 @@ def cmd_diagnose(config: dict, threads: int) -> int:
             "N": section["N"] if m <= 64 else section["N_large"], "M": m})
             for m in section["budgets"]]
     built = build_model(config["model"])
-    lines, summary = (_diagnose_sw(config, built, section) if section["kind"] == "sw"
-                      else _diagnose_tv(config, built, section, threads))
+    run = _diagnose_sw if section["kind"] == "sw" else _diagnose_tv
+    lines, summary = run(config, built, section, threads)
     summary["model"] = built.label
     summary["kind"] = section["kind"]
     _write_outputs(config["out"], lines, summary)

@@ -20,15 +20,16 @@ class ReplicationSummary:
 
     ``batch_bias[b]`` is the batch-b mean estimate minus the truth and
     ``batch_mse[b]`` the batch-b mean squared error.  ``bias`` and ``mse``
-    aggregate over batches, each with a standard error across batches.
+    aggregate over batches, each with a standard error across batches, or
+    None from a single batch.
     """
 
     batch_bias: np.ndarray
     batch_mse: np.ndarray
     bias: float
     mse: float
-    bias_se: float
-    mse_se: float
+    bias_se: Optional[float]
+    mse_se: Optional[float]
 
 
 def replication_stats(estimates: np.ndarray, truth: float,
@@ -47,14 +48,15 @@ def replication_stats(estimates: np.ndarray, truth: float,
     n_batches = batches.shape[0]
     batch_bias = batches.mean(axis=1) - truth
     batch_mse = ((batches - truth) ** 2).mean(axis=1)
-    spread = np.sqrt(max(n_batches - 1, 1))
+    bias_se, mse_se = (float(v.std(ddof=0) / np.sqrt(n_batches - 1)) if n_batches > 1
+                       else None for v in (batch_bias, batch_mse))
     return ReplicationSummary(
         batch_bias=batch_bias,
         batch_mse=batch_mse,
         bias=float(batch_bias.mean()),
         mse=float(batch_mse.mean()),
-        bias_se=float(batch_bias.std(ddof=0) / spread),
-        mse_se=float(batch_mse.std(ddof=0) / spread),
+        bias_se=bias_se,
+        mse_se=mse_se,
     )
 
 

@@ -46,17 +46,22 @@ class WeightedPool:
 
 
 @dataclass(frozen=True)
-class ChainConfig:
-    """Pool size and iteration count of one chain."""
+class RollingConfig:
+    """Pool size N, iteration count k and burn-in k0 (0 <= k0 < k): the
+    schedule of every chain estimator.  ``run_chain`` reads N and k; its
+    caller applies the burn-in, and ``bootstrap_br_snis`` reads all three."""
 
     n_candidates: int
     n_iters: int
+    burn_in: int
 
     def __post_init__(self):
         if self.n_candidates < 2:
             raise ValueError("n_candidates must be at least 2")
         if self.n_iters < 1:
             raise ValueError("n_iters must be at least 1")
+        if not 0 <= self.burn_in < self.n_iters:
+            raise ValueError("burn_in must lie in [0, n_iters)")
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,8 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
     has recycled estimates ``(chains, iters[, q])`` and states
     ``(chains, iters + 1, dim)``.
     """
+    if n_candidates < 2 or n_iters < 1:
+        raise ValueError("a chain needs n_candidates >= 2 and n_iters >= 1")
     n_chains = len(starts)
     state_lw, f0 = model.log_weight(starts), f(starts)
     # f values carry a trailing column axis, dropped again for a scalar f;
@@ -153,7 +160,7 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
                       states=states)
 
 
-def run_chain(model: ModelSpec, f: TestFunction, cfg: ChainConfig,
+def run_chain(model: ModelSpec, f: TestFunction, cfg: RollingConfig,
               rng: np.random.Generator) -> ChainTrace:
     """Run one chain from one proposal draw: ``run_chains`` with one chain, on
     the same stream; recycled_estimates[l] is the pool-l SNIS estimate."""

@@ -16,28 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .isir import ChainTrace
+from .isir import ChainTrace, RollingConfig
 from .model import ModelSpec, TestFunction
 from .snis import DegenerateWeightsError, normalize_weights
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class RollingConfig:
-    """Pool size N, iteration count k and burn-in k0 (0 <= k0 < k)."""
-
-    n_candidates: int
-    n_iters: int
-    burn_in: int
-
-    def __post_init__(self):
-        if self.n_candidates < 2:
-            raise ValueError("n_candidates must be at least 2")
-        if self.n_iters < 1:
-            raise ValueError("n_iters must be at least 1")
-        if not 0 <= self.burn_in < self.n_iters:
-            raise ValueError("burn_in must lie in [0, n_iters)")
 
 
 def rolling_estimate(trace: ChainTrace, burn_in: int) -> float | np.ndarray:

@@ -147,14 +147,18 @@ class TestBoundsCommand:
         ({}, ["--out", "bounds.json"], "unknown bounds keys: ['out']"),
         ({}, ["--threads", "0"], "--threads must be at least 1"),
         ({"estimate_draws": 1}, [], "estimate_draws must be int >= 2"),
+        ({"omega": float("inf")}, [], "omega must be float >= 1.0, not inf"),
+        ({"kappa": float("inf")}, [], "kappa must be float >= 1.0, not inf"),
     ], ids=["omega-below-one", "kappa-below-one", "out-flag", "no-threads",
-            "one-estimate-draw"])
+            "one-estimate-draw", "infinite-omega", "infinite-kappa"])
     def test_config_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                             constants, argv, message):
         """omega and kappa are at least 1 by definition, bounds writes no file,
         a run needs a thread and kappa two weights; kappa 0.5 used to exit 3
         from the bound, omega 0.2 and --threads 0 ran, --out was read by
-        nothing and one estimate draw exited 3 after the model was built."""
+        nothing and one estimate draw exited 3 after the model was built.
+        An infinite kappa printed ``Infinity``, which is no JSON, and an
+        infinite omega exited 3 from the mixing rate."""
         forbid_sampling(monkeypatch)
         config = write_config(tmp_path, {
             "schema": 1, "model": {"name": "gaussian-mixture", "dim": 2},
@@ -344,16 +348,19 @@ class TestDiagnoseCommand:
         ({"theta_star": [1.0, 2.0]}, {}),
         ({"prior_precision": 0}, {}),
         ({}, {"budgets": []}),
+        ({"prior_precision": float("inf")}, {}),
+        ({"theta_star": [float("inf"), 1.0, 2.0]}, {}),
     ], ids=["budget-not-split-by-pool", "no-replications", "no-test-points",
             "no-reference-draws", "component-not-below-dim", "theta-star-length",
-            "flat-prior", "no-budgets"])
+            "flat-prior", "no-budgets", "infinite-prior", "infinite-theta-star"])
     def test_tv_schedule_checked_before_sampling(self, tmp_path, monkeypatch,
                                                  model, diagnostic):
         """Budget 18 is not a multiple of N - 1 = 4, zero replications, test
         points or reference draws leave nothing to average, a component or
         theta_star outside the dim = 3 model cannot be used, a zero prior
-        precision leaves no prior and no budgets leave nothing to run; all are
-        rejected before the model draws its data."""
+        precision leaves no prior, no budgets leave nothing to run and an
+        infinite prior precision or theta_star entry is no number to compute
+        with; all are rejected before the model draws its data."""
         forbid_sampling(monkeypatch)
         config = tv_config(tmp_path, model, **diagnostic)
         assert main(["diagnose", "--config", config]) == 2
@@ -411,6 +418,17 @@ class TestDiagnoseCommand:
             assert main(["diagnose", "--config", config, "--threads", threads]) == 0
             outputs.append([(tmp_path / name).read_bytes()
                             for name in ("tv.csv", "tv.csv.summary.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_sw_output_identical_across_thread_counts(self, tmp_path):
+        """Each group owns its stream, so the groups' worker threads do not
+        change a byte."""
+        config = sw_config(tmp_path)
+        outputs = []
+        for threads in ("1", "2"):
+            assert main(["diagnose", "--config", config, "--threads", threads]) == 0
+            outputs.append([(tmp_path / name).read_bytes()
+                            for name in ("sw.csv", "sw.csv.summary.json")])
         assert outputs[0] == outputs[1]
 
     def test_tv_reference_memory_bounded(self, tmp_path):
@@ -557,6 +575,9 @@ class TestTraceHooks:
         names = {span.name for span in spans}
         assert {"isir.run_chain", "rolling.rolling_estimate",
                 "rolling.build_sample_bank", "rolling.bootstrap_br_snis"} <= names
+        # The tracer reads a chain's steps from the schedule's n_iters.
+        assert [span.work["steps"] for span in spans if span.name == "isir.run_chain"] \
+            == [6, 6]
 
     def test_tracer_records_estimator_and_diagnostic_spans(self, tmp_path):
         tv = {"replications": 2, "test_points": 4, "reference_draws": 2000}

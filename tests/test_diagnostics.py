@@ -30,6 +30,15 @@ class TestReplicationStats:
             assert summary.batch_mse[b] == pytest.approx(
                 summary.batch_bias[b] ** 2 + var, rel=1e-10)
 
+    def test_one_batch_has_no_standard_error(self):
+        """One batch has no spread to take; the errors are None (JSON null),
+        not 0.0."""
+        summary = replication_stats([1.0, 2.0, 4.0], truth=2.0, batch_size=3)
+        assert (summary.bias_se, summary.mse_se) == (None, None)
+        assert summary.bias == pytest.approx(1.0 / 3.0)
+        two = replication_stats([1.0, 2.0, 4.0, 3.0], truth=2.0, batch_size=2)
+        assert two.bias_se == pytest.approx(1.0) and two.mse_se == pytest.approx(1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             replication_stats([], 0.0, 1)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from brsnis import (ChainConfig, DegenerateWeightsError, ModelSpec, TestFunction,
+from brsnis import (DegenerateWeightsError, ModelSpec, RollingConfig, TestFunction,
                     categorical_draw, isir_step, key_relation_check,
                     normalize_weights, run_chain, run_chains, sliced_wasserstein,
                     snis_estimate)
@@ -160,7 +160,7 @@ class TestRunChain:
         states match exactly, each recycled value is bitwise the runner's pool
         SNIS (shift by the pool max, state term plus fresh sum, over the
         total) and within rel 1e-12 of ``snis_estimate``."""
-        trace = run_chain(model, f, ChainConfig(n, k), np.random.default_rng(seed))
+        trace = run_chain(model, f, RollingConfig(n, k, 0), np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         y = model.propose(rng, 1)[0]
         y_lw, y_f = model.log_weight(y[None, :])[0], f(y[None, :])[0]
@@ -198,7 +198,7 @@ class TestRunChain:
         _, model, f, _ = mixture2
         f2 = TestFunction(fn=lambda pts: np.column_stack([f(pts), np.ones(len(pts))]),
                           sup_bound=1.0)
-        for run in (lambda g: run_chain(model, g, ChainConfig(9, 5),
+        for run in (lambda g: run_chain(model, g, RollingConfig(9, 5, 0),
                                         np.random.default_rng(21)).recycled_estimates,
                     lambda g: cold_chains(model, g, 9, 5, 3,
                                           np.random.default_rng(21)).recycled_estimates):
@@ -211,14 +211,14 @@ class TestRunChain:
         model = ModelSpec(dim=1, log_weight=lambda x: np.full(len(x), -np.inf),
                           propose=lambda rng, n: rng.standard_normal((n, 1)))
         with pytest.raises(DegenerateWeightsError):
-            run_chain(model, unit_function(), ChainConfig(4, 2),
+            run_chain(model, unit_function(), RollingConfig(4, 2, 0),
                       np.random.default_rng(23))
 
     def test_is_run_chains_from_one_proposal_draw(self, mixture2):
         """Bit for bit ``run_chains`` with one chain started from
         ``model.propose(rng, 1)`` on the same generator."""
         _, model, f, _ = mixture2
-        trace = run_chain(model, f, ChainConfig(7, 9), np.random.default_rng(24))
+        trace = run_chain(model, f, RollingConfig(7, 9, 0), np.random.default_rng(24))
         rng = np.random.default_rng(24)
         batch = run_chains(model, f, 7, 9, model.propose(rng, 1), rng)
         np.testing.assert_array_equal(trace.recycled_estimates,
@@ -240,11 +240,13 @@ class TestRunChain:
             np.testing.assert_array_equal(batch.states[:, 0], given)
             assert (batch.states[:, -1] != given).any()
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ChainConfig(1, 5)
-        with pytest.raises(ValueError):
-            ChainConfig(4, 0)
+    def test_config_validation(self, mixture2):
+        """``run_chains`` rejects a pool of one candidate and zero iterations;
+        one candidate used to fail inside a numpy reshape."""
+        _, model, f, _ = mixture2
+        for n, k in ((1, 5), (4, 0)):
+            with pytest.raises(ValueError, match="n_candidates >= 2 and n_iters >= 1"):
+                run_chains(model, f, n, k, np.zeros((3, 2)), np.random.default_rng(0))
 
 
 class TestRunChains:

@@ -6,7 +6,7 @@ from conftest import log_weights, outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brsnis import (CachedSampleBank, ChainConfig, ChainTrace, CountingModel,
+from brsnis import (CachedSampleBank, ChainTrace, CountingModel,
                     DegenerateWeightsError, RollingConfig, TestFunction,
                     bootstrap_br_snis, build_sample_bank, normalize_weights,
                     rolling_estimate, run_chain, run_chains)
@@ -94,14 +94,14 @@ class TestBrSnis:
         _, model, f, _ = mixture2
         counter = CountingModel(model)
         n, k = 7, 5
-        trace = run_chain(counter, f, ChainConfig(n, k), np.random.default_rng(0))
+        trace = run_chain(counter, f, RollingConfig(n, k, 2), np.random.default_rng(0))
         rolling_estimate(trace, 2)
         assert counter.proposal_draws == (n - 1) * k + 1
 
     def test_bounded_by_sup_bound(self, mixture2):
         _, model, f, _ = mixture2
         for seed in range(5):
-            trace = run_chain(model, f, ChainConfig(5, 6), np.random.default_rng(seed))
+            trace = run_chain(model, f, RollingConfig(5, 6, 0), np.random.default_rng(seed))
             assert abs(rolling_estimate(trace, 3)) <= f.sup_bound
 
 
