@@ -92,13 +92,13 @@ def load_config(path: str, overrides: Optional[list[str]] = None,
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config document must be a JSON object")
-    if config.get("schema") != 1:
-        raise ConfigError("config schema field must equal 1")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not of the form key=value")
         key, raw = item.split("=", 1)
         _set_override(config, key, raw)
+    if config.get("schema") != 1:
+        raise ConfigError("config schema field must equal 1")
     if seed is not None:
         config["seed"] = seed
     if out is not None:
@@ -109,17 +109,21 @@ def load_config(path: str, overrides: Optional[list[str]] = None,
 # The config format: section -> key -> (type, default, least value).  A type is a
 # Python type, a list[...] of one or a tuple of allowed strings; None defaults allow null.
 REQUIRED = object()
+# A subcommand lists only the constants keys its code reads: diagnose tv none, sw omega's.
 _COMMON_KEYS = {
-    "schema": (int, REQUIRED, 1), "model": (dict, REQUIRED, None), "seed": (int, 0, 0),
-    "omega": (float, None, 1.0), "kappa": (float, None, 1.0),
-    "estimate_draws": (int, 10 ** 6, 2), "estimate_restarts": (int, 32, 1)}
+    "schema": (int, REQUIRED, 1), "model": (dict, REQUIRED, None), "seed": (int, 0, 0)}
+_OMEGA_KEYS = {"omega": (float, None, 1.0), "estimate_draws": (int, 10 ** 6, 2),
+               "estimate_restarts": (int, 32, 1)}
+_CONSTANTS_KEYS = {**_COMMON_KEYS, **_OMEGA_KEYS, "kappa": (float, None, 1.0)}
+_DIAGNOSE_KEYS = {**_COMMON_KEYS, "diagnostic": (dict, REQUIRED, None),
+                  "out": (str, REQUIRED, None)}
 CONFIG_KEYS = {
-    "bounds": {**_COMMON_KEYS, "grid": (list[dict], [], None)},
-    "experiment": {**_COMMON_KEYS, "estimator": (ESTIMATORS, "snis", None),
+    "bounds": {**_CONSTANTS_KEYS, "grid": (list[dict], [], None)},
+    "experiment": {**_CONSTANTS_KEYS, "estimator": (ESTIMATORS, "snis", None),
                    "grid": (list[dict], REQUIRED, None), "replications": (int, 1, 1),
                    "batch_size": (int, None, 1), "out": (str, REQUIRED, None)},
-    "diagnose": {**_COMMON_KEYS, "diagnostic": (dict, REQUIRED, None),
-                 "out": (str, REQUIRED, None)},
+    "diagnose sw": {**_DIAGNOSE_KEYS, **_OMEGA_KEYS},
+    "diagnose tv": _DIAGNOSE_KEYS,
     "grid": {"N": (int, None, 2), "k": (int, None, 1), "k0": (int, None, 0),
              "rounds": (int, None, 1), "M": (int, None, 1)},
     "gaussian-mixture": {"name": (MODELS, REQUIRED, None), "dim": (int, 2, 2)},
@@ -442,7 +446,8 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
         raise ConfigError("sliced Wasserstein diagnostics need an exact target sampler")
     seed, k_max, groups = config["seed"], section["k_max"], section["groups"]
     model, chains = built.model, section["chains"]
-    omega, _, _ = resolve_constants(config, built)
+    # A supplied kappa leaves only omega to estimate, from the pass `bounds` draws.
+    omega, _, _ = resolve_constants({**config, "kappa": 1.0}, built)
     rows = []
     summary = {"per_n": []}
     for gi, n in enumerate(section["N"]):
@@ -550,8 +555,8 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
 
 
 def cmd_diagnose(config: dict, threads: int) -> int:
-    config = read_section("diagnose", config)
-    section = _read_named("diagnostic", config["diagnostic"], "kind", DIAGNOSTICS)
+    section = _read_named("diagnostic", config.get("diagnostic"), "kind", DIAGNOSTICS)
+    config = read_section(f"diagnose {section['kind']}", config)
     if section["kind"] == "tv":
         if config["model"].get("name") != "logistic-synthetic":
             raise ConfigError("tv diagnostics need the logistic-synthetic model")

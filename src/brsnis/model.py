@@ -79,8 +79,8 @@ class TestFunction:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         values = self.fn(points)
-        if np.size(values) and np.max(np.abs(values)) > self.sup_bound * (1.0 + 1e-12):
-            raise ValueError("test function exceeded its declared sup bound")
+        if np.size(values) and not np.max(np.abs(values)) <= self.sup_bound * (1.0 + 1e-12):
+            raise ValueError("test function value not finite or above its sup bound")
         return values
 
 

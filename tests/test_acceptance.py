@@ -38,20 +38,17 @@ def report(label: str, ok: bool, detail: str):
     assert ok, f"{label}: {detail}"
 
 
-def snis_batch(model, f, m: int, reps: int, rng, chunk: int = 200) -> np.ndarray:
-    """Vectorized replicated SNIS estimates (one shared stream)."""
-    out = np.empty(reps)
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
+def replicated_snis(model, f, m: int, reps: int, rng, chunk: int = 200) -> np.ndarray:
+    """``snis_estimate`` of ``reps`` samples of size ``m`` from one shared
+    stream, drawn ``chunk`` samples at a time; each row of a chunk is one
+    replication's sample."""
+    out = []
+    while len(out) < reps:
+        take = min(chunk, reps - len(out))
         draws = model.propose(rng, take * m)
-        lw = model.log_weight(draws).reshape(take, m)
-        fv = f(draws).reshape(take, m)
-        shift = lw.max(axis=1, keepdims=True)
-        w = np.exp(lw - shift)
-        out[done:done + take] = (w * fv).sum(axis=1) / w.sum(axis=1)
-        done += take
-    return out
+        out += map(snis_estimate, model.log_weight(draws).reshape(take, m),
+                   f(draws).reshape(take, m))
+    return np.array(out)
 
 
 def exact_mixture_constants(spec, model, draws: int, rng):
@@ -203,8 +200,8 @@ class TestSnisClosedFormBounds:
         ok = True
         details = []
         for m in (100, 1000, 10000):
-            estimates = snis_batch(model, f, m, 10 ** 4, rng,
-                                   chunk=max(1, 10 ** 6 // m))
+            estimates = replicated_snis(model, f, m, 10 ** 4, rng,
+                                        chunk=max(1, 10 ** 6 // m))
             bias = estimates.mean() - truth
             bias_se = estimates.std(ddof=1) / np.sqrt(len(estimates))
             sq = (estimates - truth) ** 2
@@ -235,7 +232,7 @@ class TestHighProbabilityCoverage:
         rng = rng_for(7)
         log_weights1 = model1.log_weight(model1.propose(rng, 2 * 10 ** 5))
         omega1 = estimate_omega(model1, log_weights1, 8, rng)
-        estimates = snis_batch(model1, f1, 1000, 10 ** 4, rng)
+        estimates = replicated_snis(model1, f1, 1000, 10 ** 4, rng)
         bound1 = snis_hpd_bound(max(omega1, 1.0), 1000, delta) * f1.sup_bound
         snis_cov = coverage_check(estimates, truth1, bound1, delta)
         report("high-probability coverage at delta=0.1",

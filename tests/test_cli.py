@@ -51,7 +51,6 @@ def sw_config(tmp_path, **diagnostic):
         "schema": 1,
         "model": {"name": "gaussian-mixture", "dim": 2},
         "omega": 18.0,
-        "kappa": 6.0,
         "seed": 5,
         "out": str(tmp_path / "sw.csv"),
         "diagnostic": section,
@@ -149,16 +148,18 @@ class TestBoundsCommand:
         ({"estimate_draws": 1}, [], "estimate_draws must be int >= 2"),
         ({"omega": float("inf")}, [], "omega must be float >= 1.0, not inf"),
         ({"kappa": float("inf")}, [], "kappa must be float >= 1.0, not inf"),
+        ({}, ["--override", "schema=7"], "config schema field must equal 1"),
     ], ids=["omega-below-one", "kappa-below-one", "out-flag", "no-threads",
-            "one-estimate-draw", "infinite-omega", "infinite-kappa"])
+            "one-estimate-draw", "infinite-omega", "infinite-kappa", "schema-override"])
     def test_config_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                             constants, argv, message):
         """omega and kappa are at least 1 by definition, bounds writes no file,
         a run needs a thread and kappa two weights; kappa 0.5 used to exit 3
         from the bound, omega 0.2 and --threads 0 ran, --out was read by
         nothing and one estimate draw exited 3 after the model was built.
-        An infinite kappa printed ``Infinity``, which is no JSON, and an
-        infinite omega exited 3 from the mixing rate."""
+        An infinite kappa printed ``Infinity``, which is no JSON, an
+        infinite omega exited 3 from the mixing rate, and a schema set by
+        ``--override`` was never checked."""
         forbid_sampling(monkeypatch)
         config = write_config(tmp_path, {
             "schema": 1, "model": {"name": "gaussian-mixture", "dim": 2},
@@ -382,13 +383,31 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", config]) == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
+    @pytest.mark.parametrize("config, key", [
+        (tv_config, "omega"), (tv_config, "kappa"), (tv_config, "estimate_draws"),
+        (tv_config, "estimate_restarts"), (sw_config, "kappa")],
+        ids=["tv-omega", "tv-kappa", "tv-estimate-draws", "tv-estimate-restarts",
+             "sw-kappa"])
+    def test_unread_constants_keys_rejected_before_sampling(self, tmp_path, monkeypatch,
+                                                            capsys, config, key):
+        """tv reads no weight constant and sw only omega; each used to take
+        every constants key and ignore the ones it does not read."""
+        forbid_sampling(monkeypatch)
+        assert main(["diagnose", "--config", config(tmp_path),
+                     "--override", f"{key}=2"]) == 2
+        kind = "tv" if config is tv_config else "sw"
+        assert f"unknown diagnose {kind} keys: ['{key}']" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     def test_sw_estimates_constants_as_bounds_does(self, tmp_path, monkeypatch, capsys):
-        """Without supplied constants, sw and ``bounds`` draw the constants
+        """Without a supplied omega, sw and ``bounds`` draw the constants
         once each, ``estimate_draws`` weights then ``estimate_restarts``
         starts, and sw's mixing rate is that of the omega ``bounds`` reports
-        at the same seed."""
+        at the same seed.  sw estimates no kappa, and given omega it draws
+        nothing on the constants stream."""
         drawn = []
-        resolve = cli.resolve_constants
+        kappa_estimates = []
+        resolve, estimate_kappa = cli.resolve_constants, cli.estimate_kappa
 
         def counted(config, built):
             counter = CountingModel(built.model)
@@ -396,7 +415,12 @@ class TestDiagnoseCommand:
             drawn.append(counter.proposal_draws)
             return result
 
+        def counted_kappa(log_weights):
+            kappa_estimates.append(len(log_weights))
+            return estimate_kappa(log_weights)
+
         monkeypatch.setattr(cli, "resolve_constants", counted)
+        monkeypatch.setattr(cli, "estimate_kappa", counted_kappa)
         estimate = ["--override", "estimate_draws=2000",
                     "--override", "estimate_restarts=2"]
         config = write_config(tmp_path, {
@@ -405,11 +429,13 @@ class TestDiagnoseCommand:
         assert main(["bounds", "--config", config, *estimate]) == 0
         omega = json.loads(capsys.readouterr().out)["omega"]
         assert main(["diagnose", "--config", sw_config(tmp_path), *estimate,
-                     "--override", "omega=null", "--override", "kappa=null"]) == 0
-        assert drawn == [2002, 2002]
+                     "--override", "omega=null"]) == 0
         summary = json.loads((tmp_path / "sw.csv.summary.json").read_text())
         assert [entry["log_mixing_rate"] for entry in summary["per_n"]] == \
             [float(np.log(mixing_rate(omega, n))) for n in (4, 8)]
+        assert main(["diagnose", "--config", sw_config(tmp_path), *estimate]) == 0
+        assert drawn == [2002, 2002, 0]
+        assert kappa_estimates == [2000]
 
     def test_tv_output_identical_across_thread_counts(self, tmp_path):
         config = tv_config(tmp_path, replications=6)
@@ -540,12 +566,17 @@ class TestShippedInputs:
                                        [self.COMMANDS[path.name], "--config", str(path)])
 
     def test_benchmark_workloads(self, tmp_path, monkeypatch, capsys):
+        """Each workload also passes the config reads of the benchmark's own
+        output checks, which build its model and read its counts."""
         with mock.patch.dict(os.environ):  # run.py pins the BLAS thread variables
-            workloads = runpy.run_path(str(ROOT / "perfbench" / "run.py"))["WORKLOADS"]
-        assert workloads
-        for workload in workloads.values():
+            run = runpy.run_path(str(ROOT / "perfbench" / "run.py"))
+        assert run["WORKLOADS"]
+        for workload in run["WORKLOADS"].values():
             self.stopped_at_first_draw(monkeypatch, capsys,
                                        workload.argv(1001, tmp_path / "out.csv"))
+            sup_bound, replications = run["expectations"](workload)
+            assert sup_bound > 0 and replications >= 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTraceHooks:

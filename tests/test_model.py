@@ -9,8 +9,8 @@ from scipy.special import gammaln, logsumexp
 
 import brsnis.model
 from brsnis import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec,
-                    NewtonConvergenceError, UnboundedWeightError, benchmark_mixture,
-                    estimate_kappa, estimate_omega, indicator_difference,
+                    NewtonConvergenceError, TestFunction, UnboundedWeightError,
+                    benchmark_mixture, estimate_kappa, estimate_omega, indicator_difference,
                     laplace_proposal, make_gaussian_mixture, make_logistic_posterior,
                     mixture_rectangle_probability, synthetic_logistic_data)
 
@@ -377,3 +377,13 @@ class TestCountingModel:
         counter.log_weight(counter.propose(rng, 5))
         assert counter.proposal_draws == 42
         assert counter.weight_evals == 42
+
+
+class TestSupBoundCheck:
+    @pytest.mark.parametrize("value", [1.5, -1.5, np.nan],
+                             ids=["above", "below-minus-bound", "nan"])
+    def test_value_outside_bound_raises(self, value):
+        """A NaN value used to pass: ``max(|nan|) > bound`` is False."""
+        f = TestFunction(fn=lambda pts: np.full(len(pts), value), sup_bound=1.0)
+        with pytest.raises(ValueError, match="not finite or above its sup bound"):
+            f(np.zeros((3, 2)))
