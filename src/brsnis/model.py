@@ -6,6 +6,12 @@ evaluated in log space.  The built-in models are a two-mode Gaussian mixture
 targeted through a multivariate Student proposal, and a Bayesian logistic
 posterior targeted through a Gaussian proposal centered at the posterior
 mode (Newton-fitted, diagonal curvature).
+
+scipy is imported only inside the functions that need it (``gammaln`` for the
+Student normalizer, ``ndtr`` for the mixture's box probabilities,
+``logsumexp`` for the weight constants), so importing the package or building
+the logistic model loads none of it.  The weight maximization is a lockstep
+multistart Nelder-Mead in numpy that follows scipy's iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaln, logsumexp, ndtr
 
 
 class UnboundedWeightError(RuntimeError):
@@ -128,6 +132,26 @@ def indicator_difference(rect_a: np.ndarray, rect_b: np.ndarray) -> TestFunction
     return TestFunction(fn=fn, sup_bound=1.0)
 
 
+# Rows per block of the mixture's log weight and of the logistic model's
+# (rows, n_obs) and (rows, test points) products, so a large batch of draws
+# runs in bounded memory.
+_BLOCK_ROWS = 4096
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``_BLOCK_ROWS + 1`` rows covering range(n).
+
+    A lone last row joins the block before it: BLAS computes a one-row
+    product with its matrix-vector kernel, whose bits can differ from the
+    same row of a larger product, while blocks of two or more rows give
+    every row of the unblocked product bit for bit.
+    """
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 # ---------------------------------------------------------------------------
 # Gaussian mixture target with multivariate Student proposal
 # ---------------------------------------------------------------------------
@@ -223,6 +247,8 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
     consumes ``n`` uniforms (component choice) followed by ``(n, dim)``
     standard normals.
     """
+    from scipy.special import gammaln
+
     dim = spec.dim
     dof = spec.student_dof
     sd = np.sqrt(spec.cov_scale)
@@ -233,18 +259,29 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
     student_const = (gammaln((dof + dim) / 2.0) - gammaln(dof / 2.0)
                      - 0.5 * dim * np.log(dof * np.pi))
 
-    def log_weight(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+    def block_log_weight(points):
         c0, c1 = (const - ((points - mean) ** 2).sum(axis=1) / two_var
                   for const, mean in zip(comp_consts, spec.means))
         sq = np.einsum("ij,ij->i", points, points)
         student = student_const - 0.5 * (dof + dim) * np.log1p(sq / dof)
         return _log_add_exp(c0, c1) - student
 
+    def log_weight(points):
+        # Rows are independent, so blocks give the unblocked bits in bounded
+        # memory; a batch of one block skips the copy and the loop.
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if len(points) <= _BLOCK_ROWS + 1:
+            return block_log_weight(points)
+        out = np.empty(len(points))
+        for rows in row_blocks(len(points)):
+            out[rows] = block_log_weight(points[rows])
+        return out
+
     def propose(rng, n):
         z = rng.standard_normal((n, dim))
         g = rng.chisquare(dof, n)
-        return z * np.sqrt(dof / g)[:, None]
+        z *= np.sqrt(dof / g)[:, None]
+        return z
 
     def target_sample(rng, n):
         comp = (rng.random(n) >= spec.weight).astype(int)
@@ -261,6 +298,8 @@ def mixture_rectangle_probability(spec: MixtureSpec, rect: np.ndarray) -> float:
     Product of one-dimensional Gaussian CDF differences per component, mixed
     by the component masses.
     """
+    from scipy.special import ndtr
+
     rect = np.asarray(rect, dtype=float)
     sd = np.sqrt(spec.cov_scale)
     total = 0.0
@@ -333,25 +372,6 @@ def synthetic_logistic_data(rng: np.random.Generator, dim: int, n_obs: int,
     p1 = 1.0 / (1.0 + np.exp(-(x @ theta_star)))
     y = np.where(rng.random(n_obs) < p1, 1.0, -1.0)
     return x, y
-
-
-# Rows per block of the logistic model's (rows, n_obs) and (rows, test points)
-# products, so a large batch of parameter draws runs in bounded memory.
-_BLOCK_ROWS = 4096
-
-
-def row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most ``_BLOCK_ROWS + 1`` rows covering range(n).
-
-    A lone last row joins the block before it: BLAS computes a one-row
-    product with its matrix-vector kernel, whose bits can differ from the
-    same row of a larger product, while blocks of two or more rows give
-    every row of the unblocked product bit for bit.
-    """
-    starts = list(range(0, n, _BLOCK_ROWS))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _log_posterior(spec: LogisticPosteriorSpec, theta: np.ndarray) -> np.ndarray:
@@ -440,11 +460,89 @@ def estimate_kappa(log_weights: np.ndarray) -> float:
     """Plug-in estimate of the chi-square weight constant lambda(w^2)/lambda(w)^2
     from the log weights of i.i.d. proposal draws.  Computed in log space, so
     the result is invariant to any constant shift of the log weights."""
+    from scipy.special import logsumexp
+
     n = len(log_weights)
     if n < 2:
         raise ValueError("kappa needs the log weights of at least 2 draws")
     return float(np.exp(logsumexp(2.0 * log_weights) - 2.0 * logsumexp(log_weights)
                         + np.log(n)))
+
+
+# scipy's Nelder-Mead coefficients (reflection, expansion, contraction,
+# shrink) and the stopping rule of the weight maximization.
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_MAXITER, _NM_XATOL, _NM_FATOL = 2000, 1e-8, 1e-10
+
+
+def _nelder_mead_minima(fun: Callable[[np.ndarray], np.ndarray],
+                        starts: np.ndarray) -> np.ndarray:
+    """The minimum Nelder-Mead reaches from each row of ``starts``.
+
+    Each restart follows ``scipy.optimize.minimize(method="Nelder-Mead")``
+    with ``maxiter=_NM_MAXITER``, ``xatol=_NM_XATOL`` and ``fatol=_NM_FATOL``
+    bit for bit: the same initial simplex, steps, comparisons and re-sorts.
+    The restarts still running advance in lockstep, so ``fun``, which maps
+    ``(m, dim)`` points to ``(m,)`` values, is called at most three times an
+    iteration: on every reflection, on each restart's expansion or
+    contraction point, and on the shrunk simplices.
+    """
+    r, n = starts.shape
+    s = np.repeat(starts[:, None, :], n + 1, axis=1)
+    axes = np.arange(n)
+    s[:, axes + 1, axes] = np.where(starts != 0, (1 + 0.05) * starts, 0.00025)
+    fs = fun(s.reshape(-1, n)).reshape(r, n + 1)
+
+    def resort(s, fs):
+        order = np.argsort(fs, axis=1)
+        rows = np.arange(len(fs))[:, None]
+        return s[rows, order], fs[rows, order]
+
+    # scipy sorts the first simplex twice; argsort need not be stable, so
+    # only the same two sorts promise the same order of tied vertices.
+    s, fs = resort(*resort(s, fs))
+    minima = np.empty(r)
+    live = np.arange(r)  # rows of ``starts`` still running; s and fs hold theirs
+    for _ in range(1, _NM_MAXITER):
+        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL)
+                & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= _NM_FATOL))
+        if done.any():
+            minima[live[done]] = fs[done].min(axis=1)
+            live, s, fs = live[~done], s[~done], fs[~done]
+            if not len(live):
+                break
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
+        fxr = fun(xr)
+        expand = fxr < fs[:, 0]
+        accept = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~accept & (fxr < fs[:, -1])
+        inside = ~expand & ~accept & ~outside
+        # Second point a * xbar - b * worst; scipy's inside contraction
+        # (1 - psi) * xbar + psi * worst is the same bits with b = -psi.
+        a = np.where(expand, 1 + _NM_RHO * _NM_CHI,
+                     np.where(outside, 1 + _NM_PSI * _NM_RHO, 1 - _NM_PSI))
+        b = np.where(expand, _NM_RHO * _NM_CHI,
+                     np.where(outside, _NM_PSI * _NM_RHO, -_NM_PSI))
+        x2, f2 = xr.copy(), fxr.copy()
+        second = ~accept
+        if second.any():
+            x2[second] = a[second, None] * xbar[second] - b[second, None] * worst[second]
+            f2[second] = fun(x2[second])
+        bar = np.where(inside, fs[:, -1], fxr)
+        better = second & np.where(outside, f2 <= bar, f2 < bar)
+        replace = accept | expand | better
+        s[replace, -1] = np.where(better[:, None], x2, xr)[replace]
+        fs[replace, -1] = np.where(better, f2, fxr)[replace]
+        shrink = ~replace
+        if shrink.any():
+            best = s[shrink, :1]
+            s[shrink, 1:] = best + _NM_SIGMA * (s[shrink, 1:] - best)
+            fs[shrink, 1:] = fun(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+        s, fs = resort(s, fs)
+    minima[live] = fs.min(axis=1)  # restarts stopped by the iteration limit
+    return minima
 
 
 def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
@@ -453,13 +551,18 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
 
     The numerator is maximized by Nelder-Mead from ``restarts`` proposal
     draws (the weight surface of the built-in mixture is multimodal, so a
-    derivative-free multistart is used); the denominator is the log-space
-    mean of ``exp(log_weights)``, the weights of i.i.d. proposal draws, such
-    as the sample ``estimate_kappa`` reads.  Only the maximized numerator is
-    a lower bound on sup w; the denominator is a Monte Carlo mean with
-    relative standard error about sqrt((kappa - 1) / len(log_weights)), so
-    the ratio can land on either side of the true constant.
+    derivative-free multistart is used).  The restarts run in lockstep, one
+    batched ``log_weight`` call per phase for all of them, and each follows
+    scipy's Nelder-Mead iterates bit for bit.  The denominator is the
+    log-space mean of ``exp(log_weights)``, the weights of i.i.d. proposal
+    draws, such as the sample ``estimate_kappa`` reads.  Only the maximized
+    numerator is a lower bound on sup w; the denominator is a Monte Carlo
+    mean with relative standard error about sqrt((kappa - 1) /
+    len(log_weights)), so the ratio can land on either side of the true
+    constant.
     """
+    from scipy.special import logsumexp
+
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     starts = model.propose(rng, restarts)
@@ -467,18 +570,14 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
     # runaway or NaN log weight signals an unbounded one and stops the search.
     ceiling = float(model.log_weight(starts).max()) + 500.0
 
-    def objective(v):
-        lw = float(model.log_weight(v[None, :])[0])
-        if not lw < ceiling:
+    def neg_log_weight(points):
+        lw = model.log_weight(points)
+        if not np.all(lw < ceiling):
             raise UnboundedWeightError(
                 "weight maximization diverged; the bounded-weight assumption "
                 "appears violated")
         return -lw
 
-    best = -np.inf
-    for start in starts:
-        res = minimize(objective, start, method="Nelder-Mead",
-                       options={"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-10})
-        best = max(best, -res.fun)
+    best = -_nelder_mead_minima(neg_log_weight, starts).min()
     log_mean_weight = logsumexp(log_weights) - np.log(len(log_weights))
     return float(np.exp(best - log_mean_weight))

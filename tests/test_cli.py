@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import runpy
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -577,6 +579,27 @@ class TestShippedInputs:
             sup_bound, replications = run["expectations"](workload)
             assert sup_bound > 0 and replications >= 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestImportPath:
+    """scipy stays off the import path: the CLI and the logistic model load
+    none of it, and the mixture only ``scipy.special``."""
+
+    def test_build_model_loads_no_scipy_optimize(self):
+        code = (
+            "import sys\n"
+            "from brsnis import cli\n"
+            "def build(name):\n"
+            "    cli.build_model(cli.load_config(f'configs/{name}.json', [])['model'])\n"
+            "build('logistic_tv')\n"
+            "assert not any(m.startswith('scipy') for m in sys.modules), 'logistic'\n"
+            "build('mixture_bounds')\n"
+            "assert 'scipy.optimize' not in sys.modules, 'mixture'\n")
+        src = str(Path(brsnis.model.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTraceHooks:

@@ -1,10 +1,14 @@
 """Built-in models, their samplers and the weight-constant estimators."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 from scipy.special import gammaln, logsumexp
 
 import brsnis.model
@@ -15,6 +19,7 @@ from brsnis import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec
                     mixture_rectangle_probability, synthetic_logistic_data)
 
 MEAN_ABS_T3 = 2.0 * np.sqrt(3.0) / np.pi  # E|X| for a t3 variable
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def scipy_log_weight(spec, points):
@@ -181,7 +186,7 @@ class TestLogSumExpBitwise:
 
         model = make_gaussian_mixture(benchmark_mixture(7))
         points = model.propose(np.random.default_rng(43), 100)
-        monkeypatch.setattr(brsnis.model, "logsumexp", fail)
+        monkeypatch.setattr(scipy.special, "logsumexp", fail)
         model.log_weight(points)
         model.log_weight(points[0])
 
@@ -224,14 +229,65 @@ class TestEstimateOmega:
         assert est == pytest.approx(np.exp(oracle_sup), rel=0.01)
 
     def test_unbounded_weight_raises(self):
-        """The search stops at the first log weight past the ceiling, before
-        the surface overflows, so no RuntimeWarning is raised either."""
-        model = ModelSpec(dim=1,
-                          log_weight=lambda x: (x ** 2).sum(axis=1),
-                          propose=lambda rng, n: rng.standard_normal((n, 1)))
-        rng = np.random.default_rng(13)
-        with pytest.raises(UnboundedWeightError):
-            estimate_omega(model, model.log_weight(model.propose(rng, 100)), 2, rng)
+        """The search stops at the first log weight past the ceiling, or NaN,
+        before the surface overflows, so no RuntimeWarning is raised either."""
+        for log_weight in (lambda x: (x ** 2).sum(axis=1),
+                           lambda x: np.where(np.abs(x[:, 0]) < 5.0, x[:, 0] ** 2, np.nan)):
+            model = ModelSpec(dim=1, log_weight=log_weight,
+                              propose=lambda rng, n: rng.standard_normal((n, 1)))
+            rng = np.random.default_rng(13)
+            log_weights = model.log_weight(model.propose(rng, 100))
+            assert np.all(np.isfinite(log_weights))  # the NaN lies past the starts
+            with pytest.raises(UnboundedWeightError):
+                estimate_omega(model, log_weights, 2, rng)
+
+    @staticmethod
+    def scipy_minima(model, starts):
+        """Each start's minimum of -log w by scipy's Nelder-Mead, one point
+        per call: the oracle the lockstep maximizer must match bit for bit."""
+        options = {"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-10}
+        return np.array([
+            minimize(lambda v: -float(model.log_weight(v[None, :])[0]), start,
+                     method="Nelder-Mead", options=options).fun
+            for start in starts])
+
+    @pytest.mark.parametrize("dim,seed", [(2, 1), (2, 2), (2, 3), (7, 1), (7, 2)])
+    def test_lockstep_matches_scipy_per_restart(self, dim, seed):
+        model = make_gaussian_mixture(benchmark_mixture(dim))
+        starts = model.propose(np.random.default_rng(seed), 8)
+        minima = brsnis.model._nelder_mead_minima(lambda p: -model.log_weight(p), starts)
+        assert np.array_equal(minima, self.scipy_minima(model, starts))
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_lockstep_matches_scipy_one_dimensional(self, gauss_student_1d, seed):
+        _, model, _, _ = gauss_student_1d
+        starts = model.propose(np.random.default_rng(seed), 8)
+        starts[0] = 0.0  # scipy's simplex steps 0.00025 from a zero coordinate
+        minima = brsnis.model._nelder_mead_minima(lambda p: -model.log_weight(p), starts)
+        assert np.array_equal(minima, self.scipy_minima(model, starts))
+
+    def test_benchmark_constants_pinned_and_batched(self, monkeypatch):
+        """The benchmark's d=7, 8-restart constants at seed 1001 keep the
+        floats the one-point-at-a-time scipy search gave, from at most 2500
+        batched log_weight calls in the maximization (about 10^4 before)."""
+        from brsnis import cli
+        config = cli.read_section("bounds", cli.load_config(
+            str(ROOT / "configs" / "mixture_bounds.json"),
+            ["model.dim=7", "estimate_restarts=8", "seed=1001"]))
+        calls = []
+        estimate = cli.estimate_omega
+
+        def counted(model, *args):
+            def log_weight(points):
+                calls.append(len(points))
+                return model.log_weight(points)
+            return estimate(dataclasses.replace(model, log_weight=log_weight), *args)
+
+        monkeypatch.setattr(cli, "estimate_omega", counted)
+        built = cli.build_model(config["model"])
+        assert cli.resolve_constants(config, built) == \
+            (30819.35554052846, 1220.0844336782852, True)
+        assert 0 < len(calls) <= 2500
 
 
 class TestLaplaceProposal:
@@ -351,6 +407,25 @@ class TestLogisticRowBlocks:
         theta = model.propose(rng, n)
         assert np.array_equal(model.log_weight(theta),
                               unblocked_logistic_log_weight(spec, theta))
+
+
+class TestMixtureRowBlocks:
+    """The mixture's log weight runs in row blocks above one block and its
+    proposal scales the normals in place, with every bit unchanged."""
+
+    BLOCK = brsnis.model._BLOCK_ROWS
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    @pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 10 ** 4])
+    def test_matches_unblocked_formulas(self, dim, n):
+        spec = benchmark_mixture(dim)
+        model = make_gaussian_mixture(spec)
+        points = model.propose(np.random.default_rng(n), n)
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n, dim))
+        g = rng.chisquare(spec.student_dof, n)
+        assert np.array_equal(points, z * np.sqrt(spec.student_dof / g)[:, None])
+        assert np.array_equal(model.log_weight(points), scipy_log_weight(spec, points))
 
 
 class TestSyntheticData:
