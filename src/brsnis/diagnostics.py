@@ -120,8 +120,9 @@ def tv_predictive(estimated: np.ndarray, reference: np.ndarray) -> float:
     if est.shape != ref.shape or est.size == 0:
         raise ValueError("estimated and reference must share a positive length")
     for arr in (est, ref):
-        if np.any(arr < 0) or np.any(arr > 1):
-            raise ValueError("probabilities must lie in [0, 1]")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not np.all((arr >= 0) & (arr <= 1)):
+            raise ValueError("probabilities must be finite and lie in [0, 1]")
     return float(np.abs(est - ref).mean())
 
 

@@ -7,6 +7,12 @@ targeted through a multivariate Student proposal, and a Bayesian logistic
 posterior targeted through a Gaussian proposal centered at the posterior
 mode (Newton-fitted, diagonal curvature).
 
+The logistic likelihood sums softplus terms log(1 + exp(-z)).  They are
+computed in the stable form log1p(exp(-|z|)) - min(z, 0) from numpy's
+vectorized ``exp`` and ``log1p``, in place on reused row-block buffers,
+rather than with ``np.logaddexp(0, -z)``, which numpy runs as a scalar libm
+loop several times slower.  The two agree to a few ulp, not bit for bit.
+
 scipy is imported only inside the functions that need it (``gammaln`` for the
 Student normalizer, ``ndtr`` for the mixture's box probabilities,
 ``logsumexp`` for the weight constants), so importing the package or building
@@ -374,18 +380,40 @@ def synthetic_logistic_data(rng: np.random.Generator, dim: int, n_obs: int,
     return x, y
 
 
-def _log_posterior(spec: LogisticPosteriorSpec, theta: np.ndarray) -> np.ndarray:
-    # Unnormalized: log-likelihood plus normalized Gaussian prior log density.
-    # The likelihood is filled one row block at a time, each row by the
-    # unblocked expressions, so memory is O(block x n_obs) and no bit changes.
+def _log_posterior(spec: LogisticPosteriorSpec, signed: np.ndarray,
+                   theta: np.ndarray) -> np.ndarray:
+    """Unnormalized log posterior: log-likelihood plus the normalized Gaussian
+    prior log density.
+
+    ``signed`` is ``(covariates * responses[:, None]).T``, so ``theta @
+    signed`` is each margin z = y (x . theta), bit for bit the product with
+    the responses applied after it (a sign flip is exact).  Each observation
+    adds -log(1 + exp(-z)), evaluated as log1p(exp(-|z|)) - min(z, 0): exp
+    never overflows, the form is exact in both tails, and numpy runs its
+    SIMD ``exp`` and ``log1p`` where ``np.logaddexp`` takes a scalar libm
+    loop.  The likelihood is filled one row block at a time into two reused
+    (block x n_obs) buffers, the margins and their softplus, each row by the
+    unblocked expressions, so no bit depends on the blocking.
+    """
     theta = np.atleast_2d(theta)
     dim = spec.dim
     tau2 = spec.prior_precision
-    ll = np.empty(len(theta))
-    for rows in row_blocks(len(theta)):
-        z = spec.responses[None, :] * (theta[rows] @ spec.covariates.T)
-        ll[rows] = -np.logaddexp(0.0, -z).sum(axis=1)
+    # The prior term first: its (n, dim) temporary is then freed before the
+    # block buffers are allocated, which lowers the peak resident memory.
     lp = 0.5 * dim * np.log(tau2 / (2.0 * np.pi)) - 0.5 * tau2 * (theta ** 2).sum(axis=1)
+    ll = np.empty(len(theta))
+    shape = (min(len(theta), _BLOCK_ROWS + 1), spec.n_obs)
+    margins, softplus = np.empty(shape), np.empty(shape)
+    for rows in row_blocks(len(theta)):
+        b = rows.stop - rows.start
+        z = np.matmul(theta[rows], signed, out=margins[:b])
+        sp = softplus[:b]
+        np.abs(z, out=sp)
+        np.negative(sp, out=sp)
+        np.exp(sp, out=sp)
+        np.log1p(sp, out=sp)
+        sp -= np.minimum(z, 0.0, out=z)
+        ll[rows] = -sp.sum(axis=1)
     return ll + lp
 
 
@@ -424,31 +452,47 @@ def make_logistic_posterior(spec: LogisticPosteriorSpec) -> ModelSpec:
 
     The proposal is Gaussian with mean at the Newton mode and diagonal
     covariance from ``laplace_proposal``; the proposal sampler consumes
-    ``(n, dim)`` standard normals.  No exact target sampler exists.
+    ``(n, dim)`` standard normals.  No exact target sampler exists.  The log
+    likelihood in ``log_weight`` sums the stable softplus form
+    log1p(exp(-|z|)) - min(z, 0) of log(1 + exp(-z)) (see ``_log_posterior``):
+    it matches ``np.logaddexp(0, -z)`` to a few ulp at numpy's vector speed.
     """
     mean, var_diag = laplace_proposal(spec)
     sd_diag = np.sqrt(var_diag)
     dim = spec.dim
     prop_const = -0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.log(var_diag).sum()
+    signed = (spec.covariates * spec.responses[:, None]).T
 
     def proposal_logpdf(theta):
-        z = (theta - mean) / sd_diag
-        return prop_const - 0.5 * (z ** 2).sum(axis=1)
+        z = theta - mean
+        z /= sd_diag
+        np.square(z, out=z)
+        return prop_const - 0.5 * z.sum(axis=1)
 
     def log_weight(theta):
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        return _log_posterior(spec, theta) - proposal_logpdf(theta)
+        return _log_posterior(spec, signed, theta) - proposal_logpdf(theta)
 
     def propose(rng, n):
-        return mean + rng.standard_normal((n, dim)) * sd_diag
+        z = rng.standard_normal((n, dim))
+        z *= sd_diag
+        z += mean
+        return z
 
     return ModelSpec(dim=dim, log_weight=log_weight, propose=propose)
 
 
 def logistic_predictive(theta: np.ndarray, covariates: np.ndarray) -> np.ndarray:
-    """Class-1 probabilities sigmoid(x . theta), shape (n_theta, n_points)."""
-    theta = np.atleast_2d(theta)
-    return 1.0 / (1.0 + np.exp(-(theta @ np.asarray(covariates, dtype=float).T)))
+    """Class-1 probabilities sigmoid(x . theta), shape (n_theta, n_points).
+
+    Computed in place on the product, so one (n_theta, n_points) array is
+    allocated; the inputs are not written.
+    """
+    p = np.atleast_2d(theta) @ np.asarray(covariates, dtype=float).T
+    np.negative(p, out=p)
+    np.exp(p, out=p)
+    p += 1.0
+    return np.divide(1.0, p, out=p)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,16 @@ class TestTvPredictive:
         with pytest.raises(ValueError):
             tv_predictive(np.array([1.2]), np.array([0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    @pytest.mark.parametrize("side", ["estimated", "reference"])
+    def test_non_finite_probability_rejected(self, bad, side):
+        """A NaN used to pass: it fails both ``< 0`` and ``> 1``."""
+        tables = [np.array([bad, 0.5]), np.array([0.5, 0.5])]
+        if side == "reference":
+            tables.reverse()
+        with pytest.raises(ValueError, match="finite and lie in"):
+            tv_predictive(*tables)
+
 
 class TestCoverageCheck:
     def test_exact_estimates_pass(self):

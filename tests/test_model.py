@@ -1,6 +1,8 @@
 """Built-in models, their samplers and the weight-constant estimators."""
 
 import dataclasses
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,9 @@ import brsnis.model
 from brsnis import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec,
                     NewtonConvergenceError, TestFunction, UnboundedWeightError,
                     benchmark_mixture, estimate_kappa, estimate_omega, indicator_difference,
-                    laplace_proposal, make_gaussian_mixture, make_logistic_posterior,
-                    mixture_rectangle_probability, synthetic_logistic_data)
+                    laplace_proposal, logistic_predictive, make_gaussian_mixture,
+                    make_logistic_posterior, mixture_rectangle_probability,
+                    synthetic_logistic_data)
 
 MEAN_ABS_T3 = 2.0 * np.sqrt(3.0) / np.pi  # E|X| for a t3 variable
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,17 +40,27 @@ def scipy_log_weight(spec, points):
     return logsumexp(comp, axis=0) - (const - 0.5 * (dof + dim) * np.log1p(sq / dof))
 
 
-def unblocked_logistic_log_weight(spec, theta):
-    """The logistic log weight with the whole ``(n, n_obs)`` likelihood
-    matrix at once: the oracle the row-blocked model must match bit for bit."""
+def stable_softplus(z):
+    """log(1 + exp(-z)) in the form the model evaluates."""
+    return np.log1p(np.exp(-np.abs(z))) - np.minimum(z, 0.0)
+
+
+def out_of_place_proposal_logpdf(spec, theta):
+    """The Gaussian proposal's log density written out of place."""
     mean, var_diag = laplace_proposal(spec)
+    prop_const = -0.5 * spec.dim * np.log(2.0 * np.pi) - 0.5 * np.log(var_diag).sum()
+    return prop_const - 0.5 * (((theta - mean) / np.sqrt(var_diag)) ** 2).sum(axis=1)
+
+
+def unblocked_logistic_log_weight(spec, theta, softplus=stable_softplus):
+    """The logistic log weight with the whole ``(n, n_obs)`` likelihood
+    matrix at once, out of place: with the stable softplus, the oracle the
+    row-blocked, in-place model must match bit for bit."""
     dim, tau2 = spec.dim, spec.prior_precision
     z = spec.responses[None, :] * (theta @ spec.covariates.T)
-    ll = -np.logaddexp(0.0, -z).sum(axis=1)
+    ll = -softplus(z).sum(axis=1)
     lp = 0.5 * dim * np.log(tau2 / (2.0 * np.pi)) - 0.5 * tau2 * (theta ** 2).sum(axis=1)
-    prop_const = -0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.log(var_diag).sum()
-    prop = prop_const - 0.5 * (((theta - mean) / np.sqrt(var_diag)) ** 2).sum(axis=1)
-    return (ll + lp) - prop
+    return (ll + lp) - out_of_place_proposal_logpdf(spec, theta)
 
 
 @st.composite
@@ -407,6 +420,84 @@ class TestLogisticRowBlocks:
         theta = model.propose(rng, n)
         assert np.array_equal(model.log_weight(theta),
                               unblocked_logistic_log_weight(spec, theta))
+
+
+class TestLogisticInPlace:
+    """The logistic layer computes in place: the softplus likelihood agrees
+    with ``np.logaddexp`` to a few ulp, and the predictive and the proposal's
+    sampler and density give the out-of-place expressions bit for bit."""
+
+    BLOCK = brsnis.model._BLOCK_ROWS
+
+    @pytest.fixture(scope="class")
+    def logistic(self):
+        rng = np.random.default_rng(41)
+        x, y = synthetic_logistic_data(rng, 5, 200, np.array([1.0, -0.5, 0.0, 0.5, 2.0]))
+        spec = LogisticPosteriorSpec(x, y, prior_precision=0.05)
+        return spec, make_logistic_posterior(spec)
+
+    def test_log_weight_matches_logaddexp(self, logistic):
+        spec, model = logistic
+        theta = model.propose(np.random.default_rng(42), 3000)
+        expected = unblocked_logistic_log_weight(spec, theta,
+                                                 softplus=lambda z: np.logaddexp(0.0, -z))
+        np.testing.assert_allclose(model.log_weight(theta), expected, rtol=1e-14, atol=0)
+
+    def test_softplus_extremes_match_logaddexp(self):
+        """One observation x = y = 1, so each margin z is theta itself: at
+        z = 0 and past exp's overflow and underflow the softplus gives
+        ``np.logaddexp``'s values and raises no floating-point warning."""
+        spec = LogisticPosteriorSpec(covariates=np.array([[1.0]]),
+                                     responses=np.array([1.0]), prior_precision=1.0)
+        z = np.array([0.0, 745.0, -745.0, 800.0, -800.0, 1e3, -1e3])
+        signed = (spec.covariates * spec.responses[:, None]).T
+        lp = 0.5 * np.log(1.0 / (2.0 * np.pi)) - 0.5 * z ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = brsnis.model._log_posterior(spec, signed, z[:, None])
+        np.testing.assert_array_equal(got, -np.logaddexp(0.0, -z) + lp)
+
+    def test_predictive_matches_out_of_place_and_keeps_inputs(self, logistic):
+        _, model = logistic
+        rng = np.random.default_rng(43)
+        theta = model.propose(rng, self.BLOCK)
+        x_test = rng.standard_normal((37, 5))
+        theta_before, x_before = theta.copy(), x_test.copy()
+        got = logistic_predictive(theta, x_test)
+        assert np.array_equal(got, 1.0 / (1.0 + np.exp(-(theta @ x_test.T))))
+        assert np.array_equal(theta, theta_before)
+        assert np.array_equal(x_test, x_before)
+
+    def test_propose_matches_out_of_place(self, logistic):
+        spec, model = logistic
+        mean, var_diag = laplace_proposal(spec)
+        got = model.propose(np.random.default_rng(44), 1000)
+        normals = np.random.default_rng(44).standard_normal((1000, spec.dim))
+        assert np.array_equal(got, mean + normals * np.sqrt(var_diag))
+
+    def test_proposal_logpdf_matches_out_of_place(self, logistic):
+        """``log_weight`` is the log posterior minus the proposal log density;
+        with the same log posterior it must equal the out-of-place density's
+        difference bit for bit."""
+        spec, model = logistic
+        theta = model.propose(np.random.default_rng(45), 1000)
+        signed = (spec.covariates * spec.responses[:, None]).T
+        assert np.array_equal(model.log_weight(theta),
+                              brsnis.model._log_posterior(spec, signed, theta)
+                              - out_of_place_proposal_logpdf(spec, theta))
+
+    def test_log_weight_peak_memory(self, logistic):
+        """One margin block and one softplus buffer at a time: below three
+        (block + 1) x n_obs float64 arrays on three blocks of rows."""
+        spec, model = logistic
+        theta = model.propose(np.random.default_rng(46), 2 * self.BLOCK + 3)
+        tracemalloc.start()
+        try:
+            model.log_weight(theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (self.BLOCK + 1) * spec.n_obs * 8
 
 
 class TestMixtureRowBlocks:
