@@ -217,7 +217,10 @@ def build_model(section: dict) -> BuiltModel:
     spec = LogisticPosteriorSpec(covariates=x, responses=y,
                                  prior_precision=section["prior_precision"])
     model = make_logistic_posterior(spec)
-    f = TestFunction(fn=lambda pts: pts[:, component], sup_bound=50.0)
+    # The Student proposal reaches past any bound (3 of 2e7 draws pass 50 at
+    # the defaults, where the posterior has no measurable mass); clipping
+    # keeps sup|f| <= 50 true.
+    f = TestFunction(fn=lambda pts: np.clip(pts[:, component], -50.0, 50.0), sup_bound=50.0)
     return BuiltModel(model, f, None, f"logistic-synthetic-d{dim}")
 
 

@@ -94,6 +94,8 @@ def sliced_wasserstein(points_a: np.ndarray, points_b: np.ndarray,
         raise ValueError("point clouds must share a dimension")
     if len(a) == 0 or len(b) == 0:
         raise ValueError("point clouds must be non-empty")
+    if n_projections < 1:
+        raise ValueError("n_projections must be at least 1")
     if len(a) > len(b):
         a = a[rng.choice(len(a), size=len(b), replace=False)]
     elif len(b) > len(a):
@@ -141,6 +143,8 @@ def coverage_check(estimates: np.ndarray, truth: float, bound: float,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     estimates = np.asarray(estimates, dtype=float).ravel()
+    if estimates.size == 0:
+        raise ValueError("estimates must be non-empty")
     fraction = float(np.mean(np.abs(estimates - truth) > bound))
     slack = 2.0 * np.sqrt(delta * (1.0 - delta) / estimates.size)
     return CoverageResult(fraction, fraction <= delta + slack)

@@ -2,10 +2,10 @@
 
 A model couples an unnormalized log importance weight with a proposal
 sampler.  Points are always ``(n, dim)`` float arrays and all densities are
-evaluated in log space.  The built-in models are a two-mode Gaussian mixture
-targeted through a multivariate Student proposal, and a Bayesian logistic
-posterior targeted through a Gaussian proposal centered at the posterior
-mode (Newton-fitted, diagonal curvature).
+evaluated in log space.  The built-in models, a two-mode Gaussian mixture
+and a Bayesian logistic posterior, share one multivariate Student proposal
+(centered for the mixture, at the posterior mode with the diagonal Laplace
+scale for the logistic model), whose heavy tails keep both weights bounded.
 
 The logistic likelihood sums softplus terms log(1 + exp(-z)).  They are
 computed in the stable form log1p(exp(-|z|)) - min(z, 0) from numpy's
@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .snis import DegenerateWeightsError
 
 
 class UnboundedWeightError(RuntimeError):
@@ -159,8 +161,24 @@ def row_blocks(n: int) -> list[slice]:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian mixture target with multivariate Student proposal
+# The shared Student proposal; Gaussian mixture target
 # ---------------------------------------------------------------------------
+
+
+_STUDENT_DOF = 3.0
+
+
+def _student_draws(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """``n`` standard Student draws: ``(n, dim)`` normals, then ``n`` chi-squares."""
+    z = rng.standard_normal((n, dim))
+    z *= np.sqrt(_STUDENT_DOF / rng.chisquare(_STUDENT_DOF, n))[:, None]
+    return z
+
+
+def _student_log_kernel(z: np.ndarray) -> np.ndarray:
+    """The Student's log density at standardized points, less its normalizer."""
+    sq = np.einsum("ij,ij->i", z, z)
+    return -0.5 * (_STUDENT_DOF + z.shape[1]) * np.log1p(sq / _STUDENT_DOF)
 
 
 def _validate_rect(rect: np.ndarray, dim: int, name: str):
@@ -177,16 +195,15 @@ class MixtureSpec:
     """Two-component diagonal Gaussian mixture with a Student proposal.
 
     The target is ``weight * N(means[0], cov_scale I) +
-    (1 - weight) * N(means[1], cov_scale I)``; the proposal is a centered
-    multivariate Student distribution with ``student_dof`` degrees of freedom
-    and identity scale.  ``rect_a``/``rect_b`` define the benchmark test
-    function 1_A - 1_B.
+    (1 - weight) * N(means[1], cov_scale I)``; the proposal is the centered
+    multivariate Student distribution with ``_STUDENT_DOF`` degrees of
+    freedom and identity scale.  ``rect_a``/``rect_b`` define the benchmark
+    test function 1_A - 1_B.
     """
 
     means: np.ndarray
     cov_scale: float
     weight: float
-    student_dof: float
     rect_a: np.ndarray
     rect_b: np.ndarray
 
@@ -199,8 +216,6 @@ class MixtureSpec:
             raise ValueError("cov_scale must be positive")
         if not 0.0 < self.weight < 1.0:
             raise ValueError("weight must lie in (0, 1)")
-        if not self.student_dof > 0:
-            raise ValueError("student_dof must be positive")
         dim = means.shape[1]
         object.__setattr__(self, "rect_a", _validate_rect(self.rect_a, dim, "rect_a"))
         object.__setattr__(self, "rect_b", _validate_rect(self.rect_b, dim, "rect_b"))
@@ -227,7 +242,6 @@ def benchmark_mixture(dim: int) -> MixtureSpec:
         means=means,
         cov_scale=1.0 / dim,
         weight=1.0 / 3.0,
-        student_dof=3.0,
         rect_a=rect_a,
         rect_b=rect_b,
     )
@@ -248,29 +262,25 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
     """Build the mixture-target model.
 
     ``log_weight`` is the difference of normalized target and proposal log
-    densities.  The proposal sampler consumes, in order, ``(n, dim)``
-    standard normals followed by ``n`` chi-square draws; the target sampler
-    consumes ``n`` uniforms (component choice) followed by ``(n, dim)``
-    standard normals.
+    densities.  The proposal sampler is ``_student_draws``; the target
+    sampler consumes ``n`` uniforms (component choice) followed by
+    ``(n, dim)`` standard normals.
     """
     from scipy.special import gammaln
 
     dim = spec.dim
-    dof = spec.student_dof
     sd = np.sqrt(spec.cov_scale)
     two_var = 2.0 * spec.cov_scale
     log_norm = -0.5 * dim * np.log(2.0 * np.pi * spec.cov_scale)
     comp_consts = [np.log(mass) + log_norm for mass in (spec.weight, 1.0 - spec.weight)]
     # Normalizer of the centered multivariate Student with identity scale.
-    student_const = (gammaln((dof + dim) / 2.0) - gammaln(dof / 2.0)
-                     - 0.5 * dim * np.log(dof * np.pi))
+    student_const = (gammaln((_STUDENT_DOF + dim) / 2.0) - gammaln(_STUDENT_DOF / 2.0)
+                     - 0.5 * dim * np.log(_STUDENT_DOF * np.pi))
 
     def block_log_weight(points):
         c0, c1 = (const - ((points - mean) ** 2).sum(axis=1) / two_var
                   for const, mean in zip(comp_consts, spec.means))
-        sq = np.einsum("ij,ij->i", points, points)
-        student = student_const - 0.5 * (dof + dim) * np.log1p(sq / dof)
-        return _log_add_exp(c0, c1) - student
+        return _log_add_exp(c0, c1) - (student_const + _student_log_kernel(points))
 
     def log_weight(points):
         # Rows are independent, so blocks give the unblocked bits in bounded
@@ -284,10 +294,7 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
         return out
 
     def propose(rng, n):
-        z = rng.standard_normal((n, dim))
-        g = rng.chisquare(dof, n)
-        z *= np.sqrt(dof / g)[:, None]
-        return z
+        return _student_draws(rng, n, dim)
 
     def target_sample(rng, n):
         comp = (rng.random(n) >= spec.weight).astype(int)
@@ -327,7 +334,7 @@ def mixture_test_function(spec: MixtureSpec) -> TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# Bayesian logistic posterior with a mode-centered Gaussian proposal
+# Bayesian logistic posterior with a mode-centered Student proposal
 # ---------------------------------------------------------------------------
 
 
@@ -422,11 +429,11 @@ def laplace_proposal(spec: LogisticPosteriorSpec,
                      max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Newton mode and diagonal curvature of the logistic posterior.
 
-    Returns ``(mean, var_diag)`` where ``mean`` is the posterior mode and
-    ``var_diag`` is the elementwise inverse of the negative log posterior's
-    Hessian diagonal at the mode.  The objective is strictly concave, so the
-    iteration converges from the origin; failure to reach ``grad_tol`` within
-    ``max_iter`` raises ``NewtonConvergenceError``.
+    Returns ``(mean, var_diag)``, the Student proposal's centre and squared
+    scale: the posterior mode and the elementwise inverse of the negative log
+    posterior's Hessian diagonal there.  The objective is strictly concave, so
+    the iteration converges from the origin; failure to reach ``grad_tol``
+    within ``max_iter`` raises ``NewtonConvergenceError``.
     """
     x, y, tau2 = spec.covariates, spec.responses, spec.prior_precision
     dim = spec.dim
@@ -450,36 +457,30 @@ def laplace_proposal(spec: LogisticPosteriorSpec,
 def make_logistic_posterior(spec: LogisticPosteriorSpec) -> ModelSpec:
     """Build the logistic-posterior model with its mode-centered proposal.
 
-    The proposal is Gaussian with mean at the Newton mode and diagonal
-    covariance from ``laplace_proposal``; the proposal sampler consumes
-    ``(n, dim)`` standard normals.  No exact target sampler exists.  The log
-    likelihood in ``log_weight`` sums the stable softplus form
+    The proposal takes ``_student_draws``, scales them by the square roots of
+    ``laplace_proposal``'s variances and centres them at its mode.
+    ``log_weight`` omits the proposal's normalizer, which self-normalization,
+    omega and kappa cancel.  No exact target sampler exists.  The log
+    likelihood sums the stable softplus form
     log1p(exp(-|z|)) - min(z, 0) of log(1 + exp(-z)) (see ``_log_posterior``):
     it matches ``np.logaddexp(0, -z)`` to a few ulp at numpy's vector speed.
     """
     mean, var_diag = laplace_proposal(spec)
     sd_diag = np.sqrt(var_diag)
-    dim = spec.dim
-    prop_const = -0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.log(var_diag).sum()
     signed = (spec.covariates * spec.responses[:, None]).T
-
-    def proposal_logpdf(theta):
-        z = theta - mean
-        z /= sd_diag
-        np.square(z, out=z)
-        return prop_const - 0.5 * z.sum(axis=1)
 
     def log_weight(theta):
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        return _log_posterior(spec, signed, theta) - proposal_logpdf(theta)
+        return (_log_posterior(spec, signed, theta)
+                - _student_log_kernel((theta - mean) / sd_diag))
 
     def propose(rng, n):
-        z = rng.standard_normal((n, dim))
+        z = _student_draws(rng, n, spec.dim)
         z *= sd_diag
         z += mean
         return z
 
-    return ModelSpec(dim=dim, log_weight=log_weight, propose=propose)
+    return ModelSpec(dim=spec.dim, log_weight=log_weight, propose=propose)
 
 
 def logistic_predictive(theta: np.ndarray, covariates: np.ndarray) -> np.ndarray:
@@ -500,15 +501,28 @@ def logistic_predictive(theta: np.ndarray, covariates: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
+def _check_log_weights(log_weights: np.ndarray):
+    """Reject a constants pass no estimate can be read from: a NaN or +inf
+    log weight raises ValueError, and no finite one DegenerateWeightsError."""
+    top = np.max(log_weights, initial=-np.inf)
+    if np.isnan(top) or top == np.inf:
+        raise ValueError("log weights must not be NaN or +inf")
+    if top == -np.inf:
+        raise DegenerateWeightsError("degenerate weights: all log weights are -inf")
+
+
 def estimate_kappa(log_weights: np.ndarray) -> float:
     """Plug-in estimate of the chi-square weight constant lambda(w^2)/lambda(w)^2
     from the log weights of i.i.d. proposal draws.  Computed in log space, so
-    the result is invariant to any constant shift of the log weights."""
+    the result is invariant to any constant shift of the log weights.  A NaN
+    or +inf log weight raises ValueError, and a sample without a finite one
+    DegenerateWeightsError, before anything is computed."""
     from scipy.special import logsumexp
 
     n = len(log_weights)
     if n < 2:
         raise ValueError("kappa needs the log weights of at least 2 draws")
+    _check_log_weights(log_weights)
     return float(np.exp(logsumexp(2.0 * log_weights) - 2.0 * logsumexp(log_weights)
                         + np.log(n)))
 
@@ -603,12 +617,13 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
     numerator is a lower bound on sup w; the denominator is a Monte Carlo
     mean with relative standard error about sqrt((kappa - 1) /
     len(log_weights)), so the ratio can land on either side of the true
-    constant.
+    constant.  ``log_weights`` is checked as ``estimate_kappa`` checks it.
     """
     from scipy.special import logsumexp
 
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    _check_log_weights(log_weights)
     starts = model.propose(rng, restarts)
     # A finite-weight surface gains at most a few nats over a random start; a
     # runaway or NaN log weight signals an unbounded one and stops the search.

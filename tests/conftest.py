@@ -22,7 +22,6 @@ def gauss_student_1d():
         means=np.zeros((2, 1)),
         cov_scale=1.0,
         weight=0.5,
-        student_dof=3.0,
         rect_a=np.array([[-1.0, 1.0]]),
         rect_b=np.array([[2.0, 3.0]]),
     )

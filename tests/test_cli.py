@@ -497,6 +497,45 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", config]) == 2
 
 
+class TestLogisticConstants:
+    """The logistic model's Student proposal has a bounded weight, so
+    ``bounds`` and ``experiment`` estimate omega and kappa and give finite
+    bounds; under its old Gaussian proposal both exited 3."""
+
+    MODEL = {"name": "logistic-synthetic", "dim": 3, "n_obs": 40}
+    ESTIMATE = {"omega": None, "kappa": None, "estimate_draws": 20000,
+                "estimate_restarts": 8}
+
+    def test_bounds_without_constants(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "schema": 1, "model": self.MODEL, "seed": 3,
+            "grid": [{"N": 8, "k": 6, "k0": 2, "M": 64}], **self.ESTIMATE})
+        assert main(["bounds", "--config", config]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["estimated"] is True
+        assert 1.0 < payload["kappa"] < np.inf and 1.0 < payload["omega"] < np.inf
+        entry = payload["entries"][0]
+        assert "rolling_bias_bound" in entry and "snis_hpd_bound_delta_0.1" in entry
+        assert np.all(np.isfinite(np.hstack(list(entry.values()))))
+
+    def test_component_clipped_at_sup_bound(self):
+        """The Student proposal reaches past 50, where the unclipped
+        coordinate failed the test function's sup-bound check."""
+        points = np.zeros((3, 3))
+        points[:, 0] = [1e3, -1e3, 0.5]
+        assert np.array_equal(cli.build_model(self.MODEL).f(points), [50.0, -50.0, 0.5])
+
+    def test_experiment_without_constants(self, tmp_path):
+        config = experiment_config(tmp_path, model=self.MODEL, **self.ESTIMATE)
+        assert main(["experiment", "--config", config]) == 0
+        summary = json.loads((tmp_path / "out.csv.summary.json").read_text())
+        assert summary["constants_estimated"] is True
+        assert np.isfinite(summary["omega"]) and np.isfinite(summary["kappa"])
+        bounds = summary["points"][0]["bounds"]
+        assert set(bounds) == {"bias_bound", "mse_bound", "hpd_bound_delta_0.1"}
+        assert all(np.isfinite(value) for value in bounds.values())
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["bounds", "--config", str(tmp_path / "nope.json")]) == 2
@@ -525,14 +564,21 @@ class TestExitCodes:
                                    out=str(tmp_path / "missing" / "out.csv"))
         assert main(["experiment", "--config", config]) == 3
 
-    def test_unbounded_weight_is_runtime_error(self, tmp_path, capsys):
-        """The Gaussian proposal of the logistic posterior is narrower than
-        its prior, so the weight is unbounded: omega's search stops with its
-        own message before the surface overflows (RuntimeWarnings are errors
-        in this suite, and used to end the run with an overflow message)."""
-        config = experiment_config(tmp_path, omega=None, estimate_draws=2000,
-                                   model={"name": "logistic-synthetic", "dim": 3,
-                                          "n_obs": 40})
+    def test_unbounded_weight_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        """A model whose weight grows without bound: omega's search stops with
+        its own message before the surface overflows (RuntimeWarnings are
+        errors in this suite, and used to end the run with an overflow
+        message).  No built-in model has such a weight."""
+        build = cli.build_model
+
+        def unbounded(section):
+            built = build(section)
+            model = dataclasses.replace(built.model,
+                                        log_weight=lambda x: (x ** 2).sum(axis=1))
+            return dataclasses.replace(built, model=model)
+
+        monkeypatch.setattr(cli, "build_model", unbounded)
+        config = experiment_config(tmp_path, omega=None, estimate_draws=2000)
         assert main(["experiment", "--config", config]) == 3
         assert capsys.readouterr().err.startswith(
             "runtime error: weight maximization diverged")

@@ -130,6 +130,12 @@ class TestSlicedWasserstein:
             sliced_wasserstein(np.zeros((3, 2)), np.zeros((3, 3)), 8,
                                np.random.default_rng(11))
 
+    def test_no_projections_rejected(self):
+        """Zero directions used to average an empty set: NaN and a warning."""
+        with pytest.raises(ValueError, match="n_projections must be at least 1"):
+            sliced_wasserstein(np.zeros((3, 2)), np.ones((3, 2)), 0,
+                               np.random.default_rng(12))
+
 
 class TestTvPredictive:
     def test_equal_tables_zero(self):
@@ -182,6 +188,11 @@ class TestCoverageCheck:
         estimates = rng.standard_normal(10 ** 4)
         bound = 1.6448536269514722  # standard normal 95th percentile
         assert coverage_check(estimates, 0.0, bound, delta=0.1).passed
+
+    def test_empty_estimates_rejected(self):
+        """No estimates used to give a NaN fraction and a warning."""
+        with pytest.raises(ValueError, match="estimates must be non-empty"):
+            coverage_check(np.empty(0), 0.0, bound=0.1, delta=0.1)
 
 
 class TestFitGeometricRate:

@@ -14,21 +14,22 @@ from scipy.optimize import brentq, minimize
 from scipy.special import gammaln, logsumexp
 
 import brsnis.model
-from brsnis import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec,
-                    NewtonConvergenceError, TestFunction, UnboundedWeightError,
-                    benchmark_mixture, estimate_kappa, estimate_omega, indicator_difference,
+from brsnis import (CountingModel, DegenerateWeightsError, LogisticPosteriorSpec,
+                    MixtureSpec, ModelSpec, NewtonConvergenceError, TestFunction,
+                    UnboundedWeightError, benchmark_mixture, estimate_kappa, estimate_omega, indicator_difference,
                     laplace_proposal, logistic_predictive, make_gaussian_mixture,
                     make_logistic_posterior, mixture_rectangle_probability,
                     synthetic_logistic_data)
 
 MEAN_ABS_T3 = 2.0 * np.sqrt(3.0) / np.pi  # E|X| for a t3 variable
+DOF = 3.0  # degrees of freedom of both models' Student proposal
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def scipy_log_weight(spec, points):
     """The mixture's log weight with its two components summed by scipy's
     ``logsumexp``: the oracle the model must match bit for bit."""
-    dim, dof = spec.dim, spec.student_dof
+    dim, dof = spec.dim, DOF
     log_norm = -0.5 * dim * np.log(2.0 * np.pi * spec.cov_scale)
     comp = np.empty((2, len(points)))
     for j, mass in enumerate((spec.weight, 1.0 - spec.weight)):
@@ -46,10 +47,12 @@ def stable_softplus(z):
 
 
 def out_of_place_proposal_logpdf(spec, theta):
-    """The Gaussian proposal's log density written out of place."""
+    """The Student proposal's log density less its normalizer, written out of
+    place on the points standardized by the mode and the Laplace scale."""
     mean, var_diag = laplace_proposal(spec)
-    prop_const = -0.5 * spec.dim * np.log(2.0 * np.pi) - 0.5 * np.log(var_diag).sum()
-    return prop_const - 0.5 * (((theta - mean) / np.sqrt(var_diag)) ** 2).sum(axis=1)
+    z = (theta - mean) / np.sqrt(var_diag)
+    sq = np.einsum("ij,ij->i", z, z)
+    return -0.5 * (DOF + spec.dim) * np.log1p(sq / DOF)
 
 
 def unblocked_logistic_log_weight(spec, theta, softplus=stable_softplus):
@@ -91,13 +94,11 @@ class TestMixtureSpec:
             benchmark_mixture(1)
         good = benchmark_mixture(2)
         with pytest.raises(ValueError):
-            MixtureSpec(good.means, -1.0, good.weight, 3.0, good.rect_a, good.rect_b)
+            MixtureSpec(good.means, -1.0, good.weight, good.rect_a, good.rect_b)
         with pytest.raises(ValueError):
-            MixtureSpec(good.means, 0.5, good.weight, 0.0, good.rect_a, good.rect_b)
+            MixtureSpec(good.means, 0.5, 1.5, good.rect_a, good.rect_b)
         with pytest.raises(ValueError):
-            MixtureSpec(good.means, 0.5, 1.5, 3.0, good.rect_a, good.rect_b)
-        with pytest.raises(ValueError):
-            MixtureSpec(good.means, 0.5, 0.5, 3.0,
+            MixtureSpec(good.means, 0.5, 0.5,
                         np.array([[1.0, 1.0], [0.0, 1.0]]), good.rect_b)
 
 
@@ -145,8 +146,7 @@ class TestGaussianMixtureModel:
         from scipy.stats import norm
         spec = MixtureSpec(
             means=np.array([[0.5], [-1.0]]), cov_scale=0.25, weight=0.3,
-            student_dof=3.0, rect_a=np.array([[0.0, 1.0]]),
-            rect_b=np.array([[1.5, 2.0]]))
+            rect_a=np.array([[0.0, 1.0]]), rect_b=np.array([[1.5, 2.0]]))
         expected = 0.3 * (norm.cdf(1.0, 0.5, 0.5) - norm.cdf(0.0, 0.5, 0.5)) \
             + 0.7 * (norm.cdf(1.0, -1.0, 0.5) - norm.cdf(0.0, -1.0, 0.5))
         assert mixture_rectangle_probability(spec, spec.rect_a) == \
@@ -223,6 +223,17 @@ class TestEstimateKappa:
         with pytest.raises(ValueError, match="at least 2 draws"):
             estimate_kappa(np.zeros(1))
 
+    def test_no_finite_weight_is_degenerate(self):
+        """All -inf used to give NaN after an "invalid value" warning."""
+        with pytest.raises(DegenerateWeightsError):
+            estimate_kappa(np.full(4, -np.inf))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_nan_or_inf_weight_rejected(self, bad):
+        """[0, +inf] used to give NaN after a warning, [0, NaN] NaN silently."""
+        with pytest.raises(ValueError, match="must not be NaN or \\+inf"):
+            estimate_kappa(np.array([0.0, -np.inf, bad]))
+
 
 class TestEstimateOmega:
     def test_constant_weights(self):
@@ -240,6 +251,22 @@ class TestEstimateOmega:
         log_weights = model.log_weight(model.propose(rng, 2 * 10 ** 5))
         est = estimate_omega(model, log_weights, 8, rng)
         assert est == pytest.approx(np.exp(oracle_sup), rel=0.01)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (-np.inf, DegenerateWeightsError, "all log weights are -inf"),
+        (np.inf, ValueError, "must not be NaN"), (np.nan, ValueError, "must not be NaN")],
+        ids=["no-finite", "inf", "nan"])
+    def test_bad_log_weights_rejected_before_search(self, bad, error, message):
+        """All -inf used to give omega = inf; the check runs before any
+        proposal start is drawn."""
+        def fail(rng, n):
+            raise AssertionError("the search started")
+
+        model = ModelSpec(dim=1, log_weight=lambda x: np.zeros(len(x)), propose=fail)
+        log_weights = np.full(3, -np.inf)
+        log_weights[1] = bad
+        with pytest.raises(error, match=message):
+            estimate_omega(model, log_weights, 2, np.random.default_rng(0))
 
     def test_unbounded_weight_raises(self):
         """The search stops at the first log weight past the ceiling, or NaN,
@@ -358,29 +385,37 @@ class TestLaplaceProposal:
 
 
 class TestLogisticPosteriorModel:
-    def test_pure_prior_log_weight_is_zero(self):
-        spec = LogisticPosteriorSpec(covariates=np.empty((0, 2)),
-                                     responses=np.empty(0), prior_precision=2.0)
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_pure_prior_log_weight_peak_closed_form(self, dim):
+        """Without data, log w(theta) = -u/2 + (nu + d)/2 log1p(u/nu) up to a
+        constant, with u = tau^2 |theta|^2: it peaks on the sphere u = d, by
+        -d/2 + (nu + d)/2 log1p(d/nu) above its value at the origin."""
+        tau2 = 2.0
+        spec = LogisticPosteriorSpec(covariates=np.empty((0, dim)),
+                                     responses=np.empty(0), prior_precision=tau2)
         model = make_logistic_posterior(spec)
-        rng = np.random.default_rng(17)
-        theta = rng.standard_normal((50, 2))
-        np.testing.assert_allclose(model.log_weight(theta), np.zeros(50),
-                                   atol=1e-12)
+        directions = np.random.default_rng(17).standard_normal((50, dim))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        radii = np.sqrt(np.linspace(0.0, 4.0 * dim, 4001) / tau2)
+        lw = model.log_weight((radii[:, None, None] * directions).reshape(-1, dim))
+        lw = (lw - model.log_weight(np.zeros((1, dim)))[0]).reshape(len(radii), -1)
+        gain = -dim / 2.0 + (DOF + dim) / 2.0 * np.log1p(dim / DOF)
+        assert np.all(lw.argmax(axis=0) == 1000)  # u = d, on every direction
+        np.testing.assert_allclose(lw.max(axis=0), gain, rtol=0, atol=1e-12)
+        assert np.all(lw <= gain + 1e-12)
 
     def test_log_weight_at_mode_identity(self):
         rng = np.random.default_rng(18)
         x, y = synthetic_logistic_data(rng, 3, 60, np.array([0.5, -0.5, 1.0]))
         spec = LogisticPosteriorSpec(x, y, prior_precision=0.05)
         model = make_logistic_posterior(spec)
-        mean, var = laplace_proposal(spec)
+        mean, _ = laplace_proposal(spec)
 
         z = y * (x @ mean)
         log_lik = -np.logaddexp(0.0, -z).sum()
         log_prior = 0.5 * 3 * np.log(0.05 / (2.0 * np.pi)) \
             - 0.5 * 0.05 * (mean ** 2).sum()
-        log_prop_at_mean = -0.5 * 3 * np.log(2.0 * np.pi) \
-            - 0.5 * np.log(var).sum()
-        expected = log_lik + log_prior - log_prop_at_mean
+        expected = log_lik + log_prior  # the proposal's log kernel is 0 at its centre
         assert model.log_weight(mean[None, :])[0] == pytest.approx(expected,
                                                                    abs=1e-10)
 
@@ -394,6 +429,32 @@ class TestLogisticPosteriorModel:
             LogisticPosteriorSpec(covariates=np.ones((2, 1)),
                                   responses=np.array([1.0, 0.0]),
                                   prior_precision=1.0)
+
+
+class TestLogisticWeightConstants:
+    """Under the Student proposal the logistic weight is bounded, so the
+    constants settle: at the default model two seeds' estimates agree within
+    four standard deviations of their difference.  The relative spreads, 2%
+    for kappa-hat and 0.3% for omega-hat, bound those measured over 32 seeds
+    at these settings.  Under a Gaussian proposal kappa-hat grew with the
+    draw count and the maximization diverged."""
+
+    DRAWS, RESTARTS = 2 * 10 ** 5, 8
+    SPREAD = {"kappa": 0.02, "omega": 0.003}
+
+    def test_estimates_agree_across_seeds(self):
+        from brsnis import cli
+        model = cli.build_model({"name": "logistic-synthetic"}).model
+        estimates = []
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            log_weights = model.log_weight(model.propose(rng, self.DRAWS))
+            estimates.append({
+                "kappa": estimate_kappa(log_weights),
+                "omega": estimate_omega(model, log_weights, self.RESTARTS, rng)})
+        for name, spread in self.SPREAD.items():
+            a, b = (e[name] for e in estimates)
+            assert abs(a - b) <= 4.0 * np.sqrt(2.0) * spread * (a + b) / 2.0, name
 
 
 class TestLogisticRowBlocks:
@@ -472,13 +533,16 @@ class TestLogisticInPlace:
         spec, model = logistic
         mean, var_diag = laplace_proposal(spec)
         got = model.propose(np.random.default_rng(44), 1000)
-        normals = np.random.default_rng(44).standard_normal((1000, spec.dim))
-        assert np.array_equal(got, mean + normals * np.sqrt(var_diag))
+        rng = np.random.default_rng(44)
+        normals = rng.standard_normal((1000, spec.dim))
+        g = rng.chisquare(DOF, 1000)
+        assert np.array_equal(got, mean + normals * np.sqrt(DOF / g)[:, None]
+                              * np.sqrt(var_diag))
 
     def test_proposal_logpdf_matches_out_of_place(self, logistic):
-        """``log_weight`` is the log posterior minus the proposal log density;
-        with the same log posterior it must equal the out-of-place density's
-        difference bit for bit."""
+        """``log_weight`` is the log posterior minus the proposal's log
+        kernel; with the same log posterior it must equal the out-of-place
+        kernel's difference bit for bit."""
         spec, model = logistic
         theta = model.propose(np.random.default_rng(45), 1000)
         signed = (spec.covariates * spec.responses[:, None]).T
@@ -514,8 +578,8 @@ class TestMixtureRowBlocks:
         points = model.propose(np.random.default_rng(n), n)
         rng = np.random.default_rng(n)
         z = rng.standard_normal((n, dim))
-        g = rng.chisquare(spec.student_dof, n)
-        assert np.array_equal(points, z * np.sqrt(spec.student_dof / g)[:, None])
+        g = rng.chisquare(DOF, n)
+        assert np.array_equal(points, z * np.sqrt(DOF / g)[:, None])
         assert np.array_equal(model.log_weight(points), scipy_log_weight(spec, points))
 
 
