@@ -496,7 +496,7 @@ def _reference_predictive(log_weights: np.ndarray, points: np.ndarray,
     """
     weights = normalize_weights(log_weights)
     n, q = len(weights), len(x_test)
-    blocks = row_blocks(n) if q > 1 else [slice(0, n)]
+    blocks = row_blocks(n, q) if q > 1 else [slice(0, n)]
     buf = np.empty((max(rows.stop - rows.start for rows in blocks) + 1, q))
     for i, rows in enumerate(blocks):
         b = rows.stop - rows.start

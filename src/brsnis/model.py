@@ -140,21 +140,28 @@ def indicator_difference(rect_a: np.ndarray, rect_b: np.ndarray) -> TestFunction
     return TestFunction(fn=fn, sup_bound=1.0)
 
 
-# Rows per block of the mixture's log weight and of the logistic model's
-# (rows, n_obs) and (rows, test points) products, so a large batch of draws
-# runs in bounded memory.
-_BLOCK_ROWS = 4096
+# Float64 cells per block of a row-blocked computation: 512 KB, so a block
+# buffer stays in a typical core's L2 cache whatever its width.  The
+# mixture's log weight is blocked by its dim, the logistic model's (rows,
+# n_obs) and (rows, test points) products by their second axis.
+_BLOCK_CELLS = 1 << 16
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most ``_BLOCK_ROWS + 1`` rows covering range(n).
+def _block_rows(width: int) -> int:
+    """Rows per block of ``width`` float64 columns: at least two."""
+    return max(_BLOCK_CELLS // max(width, 1), 2)
+
+
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Consecutive slices of at most ``_block_rows(width) + 1`` rows covering
+    range(n).
 
     A lone last row joins the block before it: BLAS computes a one-row
     product with its matrix-vector kernel, whose bits can differ from the
     same row of a larger product, while blocks of two or more rows give
     every row of the unblocked product bit for bit.
     """
-    starts = list(range(0, n, _BLOCK_ROWS))
+    starts = list(range(0, n, _block_rows(width)))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
@@ -276,6 +283,7 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
     # Normalizer of the centered multivariate Student with identity scale.
     student_const = (gammaln((_STUDENT_DOF + dim) / 2.0) - gammaln(_STUDENT_DOF / 2.0)
                      - 0.5 * dim * np.log(_STUDENT_DOF * np.pi))
+    block = _block_rows(dim)
 
     def block_log_weight(points):
         c0, c1 = (const - ((points - mean) ** 2).sum(axis=1) / two_var
@@ -286,10 +294,10 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
         # Rows are independent, so blocks give the unblocked bits in bounded
         # memory; a batch of one block skips the copy and the loop.
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if len(points) <= _BLOCK_ROWS + 1:
+        if len(points) <= block + 1:
             return block_log_weight(points)
         out = np.empty(len(points))
-        for rows in row_blocks(len(points)):
+        for rows in row_blocks(len(points), dim):
             out[rows] = block_log_weight(points[rows])
         return out
 
@@ -387,10 +395,10 @@ def synthetic_logistic_data(rng: np.random.Generator, dim: int, n_obs: int,
     return x, y
 
 
-def _log_posterior(spec: LogisticPosteriorSpec, signed: np.ndarray,
-                   theta: np.ndarray) -> np.ndarray:
-    """Unnormalized log posterior: log-likelihood plus the normalized Gaussian
-    prior log density.
+def _log_posterior(spec: LogisticPosteriorSpec, signed: np.ndarray, theta: np.ndarray,
+                   margins: np.ndarray, softplus: np.ndarray) -> np.ndarray:
+    """Unnormalized log posterior of a block of rows ``theta``: log-likelihood
+    plus the normalized Gaussian prior log density.
 
     ``signed`` is ``(covariates * responses[:, None]).T``, so ``theta @
     signed`` is each margin z = y (x . theta), bit for bit the product with
@@ -398,30 +406,23 @@ def _log_posterior(spec: LogisticPosteriorSpec, signed: np.ndarray,
     adds -log(1 + exp(-z)), evaluated as log1p(exp(-|z|)) - min(z, 0): exp
     never overflows, the form is exact in both tails, and numpy runs its
     SIMD ``exp`` and ``log1p`` where ``np.logaddexp`` takes a scalar libm
-    loop.  The likelihood is filled one row block at a time into two reused
-    (block x n_obs) buffers, the margins and their softplus, each row by the
-    unblocked expressions, so no bit depends on the blocking.
+    loop.  The margins and their softplus are written into the first
+    ``len(theta)`` rows of the ``(rows, n_obs)`` buffers ``margins`` and
+    ``softplus``, each row by the unblocked expressions, so no bit depends
+    on the blocking.
     """
-    theta = np.atleast_2d(theta)
+    b = len(theta)
     dim = spec.dim
     tau2 = spec.prior_precision
-    # The prior term first: its (n, dim) temporary is then freed before the
-    # block buffers are allocated, which lowers the peak resident memory.
     lp = 0.5 * dim * np.log(tau2 / (2.0 * np.pi)) - 0.5 * tau2 * (theta ** 2).sum(axis=1)
-    ll = np.empty(len(theta))
-    shape = (min(len(theta), _BLOCK_ROWS + 1), spec.n_obs)
-    margins, softplus = np.empty(shape), np.empty(shape)
-    for rows in row_blocks(len(theta)):
-        b = rows.stop - rows.start
-        z = np.matmul(theta[rows], signed, out=margins[:b])
-        sp = softplus[:b]
-        np.abs(z, out=sp)
-        np.negative(sp, out=sp)
-        np.exp(sp, out=sp)
-        np.log1p(sp, out=sp)
-        sp -= np.minimum(z, 0.0, out=z)
-        ll[rows] = -sp.sum(axis=1)
-    return ll + lp
+    z = np.matmul(theta, signed, out=margins[:b])
+    sp = softplus[:b]
+    np.abs(z, out=sp)
+    np.negative(sp, out=sp)
+    np.exp(sp, out=sp)
+    np.log1p(sp, out=sp)
+    sp -= np.minimum(z, 0.0, out=z)
+    return -sp.sum(axis=1) + lp
 
 
 def laplace_proposal(spec: LogisticPosteriorSpec,
@@ -468,11 +469,21 @@ def make_logistic_posterior(spec: LogisticPosteriorSpec) -> ModelSpec:
     mean, var_diag = laplace_proposal(spec)
     sd_diag = np.sqrt(var_diag)
     signed = (spec.covariates * spec.responses[:, None]).T
+    block = _block_rows(spec.n_obs)
 
     def log_weight(theta):
+        # One pass over cache-sized row blocks: each block's log posterior,
+        # on two reused (block x n_obs) buffers, less the proposal's log
+        # kernel, so no (n, dim) or (n, n_obs) temporary is made.
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        return (_log_posterior(spec, signed, theta)
-                - _student_log_kernel((theta - mean) / sd_diag))
+        out = np.empty(len(theta))
+        shape = (min(len(theta), block + 1), spec.n_obs)
+        margins, softplus = np.empty(shape), np.empty(shape)
+        for rows in row_blocks(len(theta), spec.n_obs):
+            t = theta[rows]
+            out[rows] = (_log_posterior(spec, signed, t, margins, softplus)
+                         - _student_log_kernel((t - mean) / sd_diag))
+        return out
 
     def propose(rng, n):
         z = _student_draws(rng, n, spec.dim)

@@ -113,7 +113,7 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
     # shifted total underflows below the smallest normal float is normalized
     # on its own instead (DegenerateWeightsError if all of it is -inf), and
     # the state's weight is put back on the global scale after the step.
-    lw = bank.log_weights
+    lw, fv = bank.log_weights, bank.f_values
     shift = max(float(lw.max()), bank.initial_log_weight)
     if shift == -np.inf:  # raised here, before exp(-inf - -inf) warns
         raise DegenerateWeightsError("degenerate weights: all log weights are -inf")
@@ -125,7 +125,6 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
     for rnd in range(rounds):
         perm = rng.permutation(m_total)
         seg_w = bw[perm].reshape(k, n - 1)
-        seg_f = bank.f_values[perm].reshape((k, n - 1, -1) if multi else (k, n - 1))
         cum = np.cumsum(seg_w, axis=1)
         # Python floats: cheaper per step than numpy scalars, same values.
         seg_totals = cum[:, -1].tolist()
@@ -141,14 +140,16 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
                 cum[step] = np.cumsum(seg_w[step])
                 total = cum[step, -1] + state_w
             if step >= k0:
-                acc = acc + (state_w * state_f + seg_w[step] @ seg_f[step]) / total
+                # Only kept steps read f: gather this segment's N - 1 rows.
+                seg_f = fv[perm[step * (n - 1):(step + 1) * (n - 1)]]
+                acc = acc + (state_w * state_f + seg_w[step] @ seg_f) / total
             u = us[step] * total
             if u > state_w:
                 pick = min(int(np.searchsorted(cum[step], u - state_w,
                                                side="left")), n - 2)
-                state_lw = lw[perm[step * (n - 1) + pick]]
+                picked = perm[step * (n - 1) + pick]
+                state_lw, state_f = lw[picked], fv[picked]
                 state_w = float(seg_w[step, pick])
-                state_f = seg_f[step, pick]
             if own_shift:
                 state_w = float(np.exp(state_lw - shift))
         round_means[rnd] = acc / kept

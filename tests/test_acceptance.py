@@ -215,6 +215,39 @@ class TestSnisClosedFormBounds:
         report("closed-form estimator bounds", ok, "; ".join(details))
 
 
+class TestLogisticSnisBounds:
+    def test_bias_and_mse_under_bounds(self):
+        """SNIS on ``logistic-synthetic`` with its CLI test function, the
+        clipped first coordinate (sup bound 50): bias and MSE stay under the
+        closed-form bounds at the estimated kappa, scaled by the sup bound
+        and its square, plus 3 standard errors.  The truth is the SNIS
+        estimate of 10^6 draws, whose log weights also give kappa."""
+        from brsnis.cli import build_model
+        built = build_model({"name": "logistic-synthetic"})
+        model, f, sup = built.model, built.f, built.f.sup_bound
+        rng = rng_for(18)
+        draws = model.propose(rng, 10 ** 6)
+        log_weights = model.log_weight(draws)
+        truth = snis_estimate(log_weights, f(draws))
+        kappa = estimate_kappa(log_weights)
+        ok = True
+        details = [f"kappa={kappa:.3f}"]
+        for m in (10, 100, 1000):
+            estimates = replicated_snis(model, f, m, 2000, rng,
+                                        chunk=max(1, 10 ** 5 // m))
+            bias = estimates.mean() - truth
+            bias_se = estimates.std(ddof=1) / np.sqrt(len(estimates))
+            sq = (estimates - truth) ** 2
+            mse, mse_se = sq.mean(), sq.std(ddof=1) / np.sqrt(len(sq))
+            bias_bound = snis_bias_bound(kappa, m) * sup
+            mse_bound = snis_mse_bound(kappa, m) * sup ** 2
+            ok = (ok and abs(bias) <= bias_bound + 3.0 * bias_se
+                  and mse <= mse_bound + 3.0 * mse_se)
+            details.append(f"M={m}: |bias|={abs(bias):.2e}<={bias_bound:.3g}"
+                           f", mse={mse:.2e}<={mse_bound:.3g}")
+        report("logistic closed-form SNIS bounds", ok, "; ".join(details))
+
+
 class TestHighProbabilityCoverage:
     def test_deviation_bounds_cover_at_level(self, mixture2, constants2,
                                              gauss_student_1d):

@@ -314,7 +314,7 @@ class TestExperimentCommand:
 
 
 class TestDiagnoseCommand:
-    BLOCK = brsnis.model._BLOCK_ROWS
+    ROWS = {q: brsnis.model._block_rows(q) for q in (200, 7, 1)}
 
     def test_sliced_wasserstein_curves(self, tmp_path):
         config = sw_config(tmp_path)
@@ -473,10 +473,13 @@ class TestDiagnoseCommand:
         assert peak < 64 * 2 ** 20
 
     @pytest.mark.parametrize("draws, test_points", [
-        (2 * BLOCK + 3, 200), (BLOCK + 1, 7), (BLOCK + 5, 1)])
+        (2 * ROWS[200] + 3, 200), (ROWS[7] + 1, 7), (ROWS[1] + 5, 1),
+        (8195, 200), (4097, 7), (4101, 1)])
     def test_tv_reference_matches_snis_estimate(self, draws, test_points):
         """Bit for bit the unblocked SNIS reference, with a last block of
-        three rows, a lone last row and a single (pairwise-summed) column."""
+        three rows, a lone last row (blocks of ``_block_rows(test points)``
+        rows), a single (pairwise-summed) column, which is not blocked, and
+        batches of a few to a few dozen blocks."""
         rng = np.random.default_rng(31)
         x, y = synthetic_logistic_data(rng, 3, 40, np.array([1.0, -1.0, 0.5]))
         model = make_logistic_posterior(LogisticPosteriorSpec(x, y, 0.05))

@@ -55,6 +55,13 @@ def out_of_place_proposal_logpdf(spec, theta):
     return -0.5 * (DOF + spec.dim) * np.log1p(sq / DOF)
 
 
+def log_posterior(spec, theta):
+    """The model's log posterior of ``theta``, computed as one row block."""
+    signed = (spec.covariates * spec.responses[:, None]).T
+    margins, softplus = np.empty((2, len(theta), spec.n_obs))
+    return brsnis.model._log_posterior(spec, signed, theta, margins, softplus)
+
+
 def unblocked_logistic_log_weight(spec, theta, softplus=stable_softplus):
     """The logistic log weight with the whole ``(n, n_obs)`` likelihood
     matrix at once, out of place: with the stable softplus, the oracle the
@@ -457,25 +464,63 @@ class TestLogisticWeightConstants:
             assert abs(a - b) <= 4.0 * np.sqrt(2.0) * spread * (a + b) / 2.0, name
 
 
+def block_cases(width):
+    """Row counts at the edges of ``row_blocks(n, width)``: none, one and two
+    rows, one block, a lone last row and a last block of three rows."""
+    rows = brsnis.model._block_rows(width)
+    return sorted({0, 1, 2, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1,
+                   2 * rows + 3})
+
+
+def assert_blocks_cover_rows(n, width):
+    """``row_blocks(n, width)`` covers range(n) in order with blocks of
+    ``_block_rows(width)`` rows, the last holding two to one more rows."""
+    rows = brsnis.model._block_rows(width)
+    blocks = brsnis.model.row_blocks(n, width)
+    assert [i for block in blocks for i in range(n)[block]] == list(range(n))
+    sizes = [block.stop - block.start for block in blocks]
+    assert all(size == rows for size in sizes[:-1])
+    assert all(size <= rows + 1 for size in sizes)
+    assert n <= 1 or min(sizes) >= 2  # no one-row product in a batch
+
+
+# Batch sizes that span a dozen or more blocks of n_obs = 200 rows.
+MANY_BLOCKS = [4095, 4096, 4097, 4098, 8193, 8195]
+
+
 class TestLogisticRowBlocks:
-    """The logistic log weight is computed in row blocks of ``_BLOCK_ROWS``,
-    so a large batch runs in bounded memory, with every bit unchanged."""
+    """The logistic log weight is computed in row blocks of
+    ``_block_rows(n_obs)`` rows, about ``_BLOCK_CELLS`` float64 cells each, so
+    a large batch runs in bounded memory, with every bit unchanged."""
 
-    BLOCK = brsnis.model._BLOCK_ROWS
+    N_OBS = 200
+    BLOCK = brsnis.model._block_rows(N_OBS)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2,
-                                   2 * BLOCK + 1, 2 * BLOCK + 3])
+    def test_block_rows_fill_cells(self):
+        """A block holds as many whole rows as fit ``_BLOCK_CELLS`` cells,
+        and never fewer than two: 9362 at the mixture's d = 7, 327 at the
+        logistic model's 200 observations."""
+        widths = (0, 1, 7, 200, 1 << 15, (1 << 15) + 1, 1 << 16, 10 ** 6)
+        assert brsnis.model._BLOCK_CELLS == 1 << 16
+        assert ([brsnis.model._block_rows(w) for w in widths]
+                == [1 << 16, 1 << 16, 9362, 327, 2, 2, 2, 2])
+
+    @pytest.mark.parametrize("n", sorted(set(block_cases(N_OBS) + MANY_BLOCKS)))
     def test_blocks_cover_rows_in_order(self, n):
-        blocks = brsnis.model.row_blocks(n)
-        assert [i for rows in blocks for i in range(n)[rows]] == list(range(n))
-        sizes = [rows.stop - rows.start for rows in blocks]
-        assert all(size <= self.BLOCK + 1 for size in sizes)
-        assert n <= 1 or min(sizes) >= 2  # no one-row product in a batch
+        assert_blocks_cover_rows(n, self.N_OBS)
 
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("width, n", [(w, n) for w in (1, 7, 10 ** 6)
+                                          for n in block_cases(w)])
+    def test_blocks_cover_rows_in_order_at_width(self, width, n):
+        """A single column, the mixture's d = 7, and rows wider than a block."""
+        assert_blocks_cover_rows(n, width)
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3,
+                                   20 * BLOCK + 1, 4095, 4096, 4097, 8195])
     def test_log_weight_matches_unblocked_formula(self, n):
         rng = np.random.default_rng(23)
-        x, y = synthetic_logistic_data(rng, 5, 200, np.array([1.0, -0.5, 0.0, 0.5, 2.0]))
+        x, y = synthetic_logistic_data(rng, 5, self.N_OBS,
+                                       np.array([1.0, -0.5, 0.0, 0.5, 2.0]))
         spec = LogisticPosteriorSpec(x, y, prior_precision=0.05)
         model = make_logistic_posterior(spec)
         theta = model.propose(rng, n)
@@ -488,7 +533,7 @@ class TestLogisticInPlace:
     with ``np.logaddexp`` to a few ulp, and the predictive and the proposal's
     sampler and density give the out-of-place expressions bit for bit."""
 
-    BLOCK = brsnis.model._BLOCK_ROWS
+    BLOCK = brsnis.model._block_rows(200)
 
     @pytest.fixture(scope="class")
     def logistic(self):
@@ -511,11 +556,10 @@ class TestLogisticInPlace:
         spec = LogisticPosteriorSpec(covariates=np.array([[1.0]]),
                                      responses=np.array([1.0]), prior_precision=1.0)
         z = np.array([0.0, 745.0, -745.0, 800.0, -800.0, 1e3, -1e3])
-        signed = (spec.covariates * spec.responses[:, None]).T
         lp = 0.5 * np.log(1.0 / (2.0 * np.pi)) - 0.5 * z ** 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = brsnis.model._log_posterior(spec, signed, z[:, None])
+            got = log_posterior(spec, z[:, None])
         np.testing.assert_array_equal(got, -np.logaddexp(0.0, -z) + lp)
 
     def test_predictive_matches_out_of_place_and_keeps_inputs(self, logistic):
@@ -541,13 +585,13 @@ class TestLogisticInPlace:
 
     def test_proposal_logpdf_matches_out_of_place(self, logistic):
         """``log_weight`` is the log posterior minus the proposal's log
-        kernel; with the same log posterior it must equal the out-of-place
-        kernel's difference bit for bit."""
+        kernel; with the same log posterior, here of all 1000 rows as one
+        block, it must equal the out-of-place kernel's difference bit for
+        bit."""
         spec, model = logistic
         theta = model.propose(np.random.default_rng(45), 1000)
-        signed = (spec.covariates * spec.responses[:, None]).T
         assert np.array_equal(model.log_weight(theta),
-                              brsnis.model._log_posterior(spec, signed, theta)
+                              log_posterior(spec, theta)
                               - out_of_place_proposal_logpdf(spec, theta))
 
     def test_log_weight_peak_memory(self, logistic):
@@ -563,15 +607,35 @@ class TestLogisticInPlace:
             tracemalloc.stop()
         assert peak < 3 * (self.BLOCK + 1) * spec.n_obs * 8
 
+    def test_log_weight_large_batch_peak_memory(self, logistic):
+        """The prior term and the proposal kernel run in the same row blocks
+        as the likelihood: at 10^5 rows the pass holds the two block buffers,
+        block-sized temporaries and the output, below three (block + 1) x
+        n_obs arrays plus two n-vectors.  One (n, dim) temporary of either
+        term alone, 4 MB here, would exceed that."""
+        spec, model = logistic
+        n = 10 ** 5
+        theta = model.propose(np.random.default_rng(47), n)
+        tracemalloc.start()
+        try:
+            model.log_weight(theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (self.BLOCK + 1) * spec.n_obs * 8 + 2 * n * 8
+
 
 class TestMixtureRowBlocks:
-    """The mixture's log weight runs in row blocks above one block and its
-    proposal scales the normals in place, with every bit unchanged."""
-
-    BLOCK = brsnis.model._BLOCK_ROWS
+    """The mixture's log weight runs in row blocks of ``_block_rows(dim)``
+    rows above one block and its proposal scales the normals in place, with
+    every bit unchanged.  Each dim runs both dims' block edges: one block,
+    a lone last row, and a last block of three rows."""
 
     @pytest.mark.parametrize("dim", [2, 7])
-    @pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 10 ** 4])
+    @pytest.mark.parametrize("n", sorted(
+        {1, 2, 4096, 4097, 8193, 10 ** 4}
+        | {n for rows in map(brsnis.model._block_rows, (2, 7))
+           for n in (rows, rows + 1, 2 * rows + 1, 2 * rows + 3)}))
     def test_matches_unblocked_formulas(self, dim, n):
         spec = benchmark_mixture(dim)
         model = make_gaussian_mixture(spec)

@@ -229,6 +229,35 @@ class TestBootstrap:
         assert value.shape == (2,)
         assert value[1] == pytest.approx(1.0, abs=1e-12)  # constant column
 
+    @pytest.mark.parametrize("case", ["last-step", "partial-burn-in", "underflowed"])
+    def test_multi_output_columns_match_reference_replay(self, mixture2, case):
+        """A q = 3 bank replays each column as the scalar bank of that column
+        does: the selections read only the weights, so one seed gives every
+        column the same chain.  Kept steps gather their segment's f rows and
+        a move reads the picked row; at k0 = k - 1, at k0 < k - 1 and on a
+        bank with underflowed pools each column matches the reference."""
+        _, model, f, _ = mixture2
+        if case == "underflowed":
+            lw = np.full(64, -900.0)
+            lw[0] = 0.0
+            fv = np.random.default_rng(16).uniform(0.5, 1.0, (64, 3))
+            bank = flat_bank(lw, fv, -900.0, np.array([0.75, 0.5, 1.0]))
+            cfg, rounds = RollingConfig(n_candidates=5, n_iters=16, burn_in=0), 4
+        else:
+            f3 = TestFunction(fn=lambda pts: np.column_stack(
+                [2.0 + np.tanh(pts[:, 0]), 2.0 + np.tanh(pts[:, 1]), 2.0 + f(pts)]),
+                sup_bound=3.0)
+            bank = build_sample_bank(model, f3, 40, np.random.default_rng(17))
+            burn_in = 9 if case == "last-step" else 3
+            cfg, rounds = RollingConfig(n_candidates=5, n_iters=10, burn_in=burn_in), 7
+        value = bootstrap_br_snis(bank, cfg, rounds, rng=np.random.default_rng(18))
+        assert value.shape == (3,)
+        for j in range(3):
+            column = flat_bank(bank.log_weights, bank.f_values[:, j],
+                               bank.initial_log_weight, bank.initial_f_value[j])
+            oracle = reference_replay(column, cfg, rounds, rng=np.random.default_rng(18))
+            assert value[j] == pytest.approx(oracle, rel=1e-12), j
+
 
 class TestRollingBounds:
     def test_empirical_bias_and_mse_under_rolling_bounds(self, mixture2):
