@@ -16,8 +16,7 @@ from .bounds import (BoundConstants, bound_constants, mixing_rate, mixing_time,
 from .diagnostics import (ReplicationSummary, coverage_check, fit_geometric_rate,
                           lag_covariance, replication_stats, sliced_wasserstein,
                           tv_predictive)
-from .isir import (ChainTrace, RollingConfig, WeightedPool, categorical_draw,
-                   isir_step, key_relation_check, run_chain, run_chains)
+from .isir import ChainTrace, RollingConfig, run_chain, run_chains
 from .model import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec,
                     NewtonConvergenceError, TestFunction, UnboundedWeightError,
                     benchmark_mixture, estimate_kappa, estimate_omega,
@@ -33,20 +32,19 @@ from .snis import (DegenerateWeightsError, normalize_weights, snis_bias_bound,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundConstants", "CachedSampleBank", "ChainTrace",
-    "CountingModel", "DegenerateWeightsError", "LogisticPosteriorSpec",
-    "MixtureSpec", "ModelSpec", "NewtonConvergenceError", "ReplicationSummary",
-    "RollingConfig", "TestFunction", "UnboundedWeightError", "WeightedPool",
+    "BoundConstants", "CachedSampleBank", "ChainTrace", "CountingModel",
+    "DegenerateWeightsError", "LogisticPosteriorSpec", "MixtureSpec",
+    "ModelSpec", "NewtonConvergenceError", "ReplicationSummary",
+    "RollingConfig", "TestFunction", "UnboundedWeightError",
     "benchmark_mixture", "bootstrap_br_snis", "bound_constants",
-    "build_sample_bank", "categorical_draw", "coverage_check", "estimate_kappa",
-    "estimate_omega", "fit_geometric_rate", "indicator_difference", "isir_step",
-    "key_relation_check", "lag_covariance", "laplace_proposal",
-    "logistic_predictive", "make_gaussian_mixture", "make_logistic_posterior",
-    "mixing_rate", "mixing_time", "mixture_rectangle_probability",
-    "mixture_test_function", "mixture_truth", "normalize_weights",
-    "pool_bias_bound", "pool_cov_bound", "pool_mse_bound", "replication_stats",
-    "rolling_bias_bound", "rolling_estimate", "rolling_hpd_bound",
-    "rolling_mse_bound", "run_chain", "run_chains", "sliced_wasserstein",
-    "snis_bias_bound", "snis_estimate", "snis_hpd_bound", "snis_mse_bound",
-    "synthetic_logistic_data", "tv_predictive",
+    "build_sample_bank", "coverage_check", "estimate_kappa", "estimate_omega",
+    "fit_geometric_rate", "indicator_difference", "lag_covariance",
+    "laplace_proposal", "logistic_predictive", "make_gaussian_mixture",
+    "make_logistic_posterior", "mixing_rate", "mixing_time",
+    "mixture_rectangle_probability", "mixture_test_function", "mixture_truth",
+    "normalize_weights", "pool_bias_bound", "pool_cov_bound", "pool_mse_bound",
+    "replication_stats", "rolling_bias_bound", "rolling_estimate",
+    "rolling_hpd_bound", "rolling_mse_bound", "run_chain", "run_chains",
+    "sliced_wasserstein", "snis_bias_bound", "snis_estimate", "snis_hpd_bound",
+    "snis_mse_bound", "synthetic_logistic_data", "tv_predictive",
 ]

@@ -445,8 +445,6 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
                  threads: int) -> tuple[list[str], dict]:
     """Group r of the g-th pool size runs off ``replication_rng(seed, g, r)``;
     every distance projects on the one direction set of the reference stream."""
-    if built.model.target_sample is None:
-        raise ConfigError("sliced Wasserstein diagnostics need an exact target sampler")
     seed, k_max, groups = config["seed"], section["k_max"], section["groups"]
     model, chains = built.model, section["chains"]
     # A supplied kappa leaves only omega to estimate, from the pass `bounds` draws.
@@ -560,6 +558,8 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
 def cmd_diagnose(config: dict, threads: int) -> int:
     section = _read_named("diagnostic", config.get("diagnostic"), "kind", DIAGNOSTICS)
     config = read_section(f"diagnose {section['kind']}", config)
+    if section["kind"] == "sw" and config["model"].get("name") != "gaussian-mixture":
+        raise ConfigError("sliced Wasserstein diagnostics need an exact target sampler")
     if section["kind"] == "tv":
         if config["model"].get("name") != "logistic-synthetic":
             raise ConfigError("tv diagnostics need the logistic-synthetic model")

@@ -573,8 +573,11 @@ def _nelder_mead_minima(fun: Callable[[np.ndarray], np.ndarray],
     minima = np.empty(r)
     live = np.arange(r)  # rows of ``starts`` still running; s and fs hold theirs
     for _ in range(1, _NM_MAXITER):
-        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL)
-                & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= _NM_FATOL))
+        # On a plateau of +inf values inf - inf is NaN, which compares false:
+        # the restart is not done, as in scipy.
+        with np.errstate(invalid="ignore"):
+            done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL)
+                    & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= _NM_FATOL))
         if done.any():
             minima[live[done]] = fs[done].min(axis=1)
             live, s, fs = live[~done], s[~done], fs[~done]
@@ -624,8 +627,10 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
     batched ``log_weight`` call per phase for all of them, and each follows
     scipy's Nelder-Mead iterates bit for bit.  The denominator is the
     log-space mean of ``exp(log_weights)``, the weights of i.i.d. proposal
-    draws, such as the sample ``estimate_kappa`` reads.  Only the maximized
-    numerator is a lower bound on sup w; the denominator is a Monte Carlo
+    draws, such as the sample ``estimate_kappa`` reads.  The numerator is the
+    larger of the Nelder-Mead maximum and the top weight of ``log_weights``,
+    so starts that all have zero weight still read a bounded weight.  Only
+    the numerator is a lower bound on sup w; the denominator is a Monte Carlo
     mean with relative standard error about sqrt((kappa - 1) /
     len(log_weights)), so the ratio can land on either side of the true
     constant.  ``log_weights`` is checked as ``estimate_kappa`` checks it.
@@ -635,10 +640,13 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     _check_log_weights(log_weights)
+    # The pass's top log weight is finite, and like every start's a lower
+    # bound on sup log w: it stands in when every start has zero weight.
+    top = float(np.max(log_weights))
     starts = model.propose(rng, restarts)
     # A finite-weight surface gains at most a few nats over a random start; a
     # runaway or NaN log weight signals an unbounded one and stops the search.
-    ceiling = float(model.log_weight(starts).max()) + 500.0
+    ceiling = max(float(model.log_weight(starts).max()), top) + 500.0
 
     def neg_log_weight(points):
         lw = model.log_weight(points)
@@ -648,6 +656,6 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
                 "appears violated")
         return -lw
 
-    best = -_nelder_mead_minima(neg_log_weight, starts).min()
+    best = max(-_nelder_mead_minima(neg_log_weight, starts).min(), top)
     log_mean_weight = logsumexp(log_weights) - np.log(len(log_weights))
     return float(np.exp(best - log_mean_weight))

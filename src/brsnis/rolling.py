@@ -58,6 +58,8 @@ class CachedSampleBank:
         fv = np.asarray(self.f_values, dtype=float)
         if len(fv) != len(lw):
             raise ValueError("bank arrays must share one length")
+        if np.shape(self.initial_f_value) != fv.shape[1:]:
+            raise ValueError("initial_f_value must have the shape of one f_values row")
         for arr, name in ((lw, "log_weights"), (fv, "f_values")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

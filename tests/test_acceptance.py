@@ -10,13 +10,14 @@ import json
 
 import numpy as np
 import pytest
+from oracles import isir_step, key_relation_check
 from scipy.optimize import minimize, minimize_scalar
 from scipy.stats import chisquare
 
 from brsnis import (benchmark_mixture, bootstrap_br_snis, bound_constants,
                     build_sample_bank, coverage_check,
                     estimate_kappa, estimate_omega, fit_geometric_rate,
-                    isir_step, key_relation_check, make_gaussian_mixture,
+                    make_gaussian_mixture,
                     make_logistic_posterior, mixture_test_function,
                     mixture_truth, pool_bias_bound, replication_stats,
                     rolling_hpd_bound, run_chains, sliced_wasserstein,

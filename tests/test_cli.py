@@ -385,6 +385,16 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", config]) == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
+    def test_sw_model_checked_before_data_draws(self, tmp_path, monkeypatch, capsys):
+        """The logistic model has no exact target sampler; sw used to find
+        that out only after the model had drawn its data and fit its mode."""
+        monkeypatch.setattr(cli, "synthetic_logistic_data", fail_if_called)
+        config = json.loads(Path(sw_config(tmp_path)).read_text())
+        config["model"] = {"name": "logistic-synthetic", "dim": 3, "n_obs": 40}
+        assert main(["diagnose", "--config", write_config(tmp_path, config)]) == 2
+        assert "need an exact target sampler" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     @pytest.mark.parametrize("config, key", [
         (tv_config, "omega"), (tv_config, "kappa"), (tv_config, "estimate_draws"),
         (tv_config, "estimate_restarts"), (sw_config, "kappa")],

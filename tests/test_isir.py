@@ -5,10 +5,10 @@ import pytest
 from conftest import log_weights, outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import categorical_draw, isir_step, key_relation_check
 from scipy.stats import chisquare
 
 from brsnis import (DegenerateWeightsError, ModelSpec, RollingConfig, TestFunction,
-                    categorical_draw, isir_step, key_relation_check,
                     normalize_weights, run_chain, run_chains, sliced_wasserstein,
                     snis_estimate)
 
@@ -343,3 +343,17 @@ class TestKeyRelation:
                                     rng=np.random.default_rng(18),
                                     mc_draws=2 * 10 ** 5)
         assert abs(result.z_score) <= 4.0
+
+
+def test_public_api_is_one_kernel():
+    """Every exported name resolves and is listed once; the step-by-step
+    reference kernel and the key-relation check live in the tests only."""
+    import brsnis
+    import brsnis.isir
+
+    assert len(set(brsnis.__all__)) == len(brsnis.__all__)
+    assert all(hasattr(brsnis, name) for name in brsnis.__all__)
+    for name in ("WeightedPool", "categorical_draw", "isir_step", "key_relation_check",
+                 "KeyRelationResult"):
+        assert name not in brsnis.__all__
+        assert not hasattr(brsnis, name) and not hasattr(brsnis.isir, name)

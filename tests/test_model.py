@@ -288,6 +288,21 @@ class TestEstimateOmega:
             with pytest.raises(UnboundedWeightError):
                 estimate_omega(model, log_weights, 2, rng)
 
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_zero_weight_starts_read_as_bounded(self, seed):
+        """A standard normal truncated to x > 0 under a standard normal
+        proposal: w is 2 or 0.  Both starts land where w = 0, which used to
+        raise UnboundedWeightError, and with the ceiling alone gave omega 0."""
+        model = ModelSpec(dim=1, propose=lambda rng, n: rng.standard_normal((n, 1)),
+                          log_weight=lambda x: np.where(x[:, 0] > 0, np.log(2.0), -np.inf))
+        log_weights = model.log_weight(model.propose(np.random.default_rng(0), 10 ** 4))
+        assert np.all(model.propose(np.random.default_rng(seed), 2) < 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_omega(model, log_weights, 2, np.random.default_rng(seed))
+        assert est == pytest.approx(2.0 / np.exp(log_weights).mean(), rel=1e-12)
+        assert est == pytest.approx(2.01, abs=0.01)
+
     @staticmethod
     def scipy_minima(model, starts):
         """Each start's minimum of -log w by scipy's Nelder-Mead, one point

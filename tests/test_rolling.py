@@ -120,6 +120,16 @@ class TestSampleBank:
             CachedSampleBank(log_weights=np.zeros(2), f_values=np.zeros(3),
                              initial_log_weight=0.0, initial_f_value=0.0)
 
+    @pytest.mark.parametrize("f_values, initial_f_value", [
+        (np.zeros((3, 2)), 0.0), (np.zeros(3), np.zeros(2))],
+        ids=["scalar-for-two-columns", "two-values-for-one-column"])
+    def test_initial_f_value_shape_checked(self, f_values, initial_f_value):
+        """A scalar used to broadcast silently across both columns, and two
+        values for one column failed only inside the replay."""
+        with pytest.raises(ValueError, match="shape of one f_values row"):
+            CachedSampleBank(log_weights=np.zeros(3), f_values=f_values,
+                             initial_log_weight=0.0, initial_f_value=initial_f_value)
+
 
 class TestBootstrap:
     def test_matches_reference_replay(self, mixture2):
