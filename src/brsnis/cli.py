@@ -40,6 +40,7 @@ from .snis import (normalize_weights, snis_bias_bound, snis_estimate, snis_hpd_b
 _CONSTANTS_STREAM = 2 ** 31
 _REFERENCE_STREAM = 2 ** 31 + 1
 _DATA_STREAM = 2 ** 31 + 2
+_TEST_POINTS_STREAM = 2 ** 31 + 3
 
 ESTIMATORS = ("snis", "isir-state", "br-snis", "br-snis-bootstrap")
 MODELS = ("gaussian-mixture", "logistic-synthetic")
@@ -427,7 +428,7 @@ def cmd_experiment(config: dict, threads: int) -> int:
             })
         summary_points.append(entry)
 
-    header = "replication,estimator,N,k,k0,rounds,M,seed,estimate"
+    header = ",".join(["replication", "estimator", *CONFIG_KEYS["grid"]]) + ",seed,estimate"
     summary = {
         "model": built.label,
         "estimator": estimator,
@@ -509,8 +510,7 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
     seed, replications, n_test = (config["seed"], section["replications"],
                                   section["test_points"])
     model = built.model
-    data_rng = _stream_rng(seed, _DATA_STREAM)
-    x_test = data_rng.standard_normal((n_test, model.dim))
+    x_test = _stream_rng(seed, _TEST_POINTS_STREAM).standard_normal((n_test, model.dim))
 
     ref_rng = _stream_rng(seed, _REFERENCE_STREAM)
     ref_points = model.propose(ref_rng, section["reference_draws"])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelSpec, TestFunction
-from .snis import DegenerateWeightsError
+from .snis import _check_top_log_weights
 from .snis import snis_estimate  # noqa: F401  patched here by perfbench/tracer.py
 
 
@@ -70,6 +70,8 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
         raise ValueError("a chain needs n_candidates >= 2 and n_iters >= 1")
     n_chains = len(starts)
     state_lw, f0 = model.log_weight(starts), f(starts)
+    if f0.ndim not in (1, 2):
+        raise ValueError("f_values must be one- or two-dimensional")
     # f values carry a trailing column axis, dropped again for a scalar f;
     # with one column the sums below are bitwise those of the 2-D arrays.
     # The copy keeps the moves below out of an f that returns a view.
@@ -83,8 +85,7 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
         lw = model.log_weight(fresh).reshape(n_chains, m)
         fv = f(fresh).reshape(n_chains, m, -1)
         shift = np.maximum(lw.max(axis=1), state_lw)
-        if not np.isfinite(shift).all():
-            raise DegenerateWeightsError("degenerate weights: no finite pool max")
+        _check_top_log_weights(shift)
         w_fresh = np.exp(lw - shift[:, None])
         w_state = np.exp(state_lw - shift)
         total = w_fresh.sum(axis=1) + w_state

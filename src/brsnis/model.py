@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .snis import DegenerateWeightsError
+from .snis import _check_top_log_weights
 
 
 class UnboundedWeightError(RuntimeError):
@@ -512,16 +512,6 @@ def logistic_predictive(theta: np.ndarray, covariates: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _check_log_weights(log_weights: np.ndarray):
-    """Reject a constants pass no estimate can be read from: a NaN or +inf
-    log weight raises ValueError, and no finite one DegenerateWeightsError."""
-    top = np.max(log_weights, initial=-np.inf)
-    if np.isnan(top) or top == np.inf:
-        raise ValueError("log weights must not be NaN or +inf")
-    if top == -np.inf:
-        raise DegenerateWeightsError("degenerate weights: all log weights are -inf")
-
-
 def estimate_kappa(log_weights: np.ndarray) -> float:
     """Plug-in estimate of the chi-square weight constant lambda(w^2)/lambda(w)^2
     from the log weights of i.i.d. proposal draws.  Computed in log space, so
@@ -533,7 +523,7 @@ def estimate_kappa(log_weights: np.ndarray) -> float:
     n = len(log_weights)
     if n < 2:
         raise ValueError("kappa needs the log weights of at least 2 draws")
-    _check_log_weights(log_weights)
+    _check_top_log_weights(np.max(log_weights))
     return float(np.exp(logsumexp(2.0 * log_weights) - 2.0 * logsumexp(log_weights)
                         + np.log(n)))
 
@@ -639,10 +629,10 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
 
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    _check_log_weights(log_weights)
-    # The pass's top log weight is finite, and like every start's a lower
-    # bound on sup log w: it stands in when every start has zero weight.
-    top = float(np.max(log_weights))
+    # The pass's top log weight is checked finite, and like every start's a
+    # lower bound on sup log w: it stands in when every start has zero weight.
+    top = float(np.max(log_weights, initial=-np.inf))
+    _check_top_log_weights(top)
     starts = model.propose(rng, restarts)
     # A finite-weight surface gains at most a few nats over a random start; a
     # runaway or NaN log weight signals an unbounded one and stops the search.

@@ -18,7 +18,7 @@ import numpy as np
 
 from .isir import ChainTrace, RollingConfig
 from .model import ModelSpec, TestFunction
-from .snis import DegenerateWeightsError, normalize_weights
+from .snis import _check_top_log_weights, normalize_weights
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
@@ -56,6 +56,8 @@ class CachedSampleBank:
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=float).ravel()
         fv = np.asarray(self.f_values, dtype=float)
+        if fv.ndim not in (1, 2):
+            raise ValueError("f_values must be one- or two-dimensional")
         if len(fv) != len(lw):
             raise ValueError("bank arrays must share one length")
         if np.shape(self.initial_f_value) != fv.shape[1:]:
@@ -111,14 +113,13 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
         raise ValueError(f"bank of size {m_total} does not match "
                          f"(N - 1) k = {(n - 1) * k}")
     multi = bank.f_values.ndim == 2
-    # One global max shift keeps every exp() in [0, 1].  A pool whose
-    # shifted total underflows below the smallest normal float is normalized
-    # on its own instead (DegenerateWeightsError if all of it is -inf), and
-    # the state's weight is put back on the global scale after the step.
+    # One global max shift, checked before any exp() (np.maximum keeps a NaN
+    # initial log weight), keeps every exp() in [0, 1].  A pool whose shifted
+    # total underflows below the smallest normal float is normalized on its
+    # own instead, and the state's weight is put back on the global scale.
     lw, fv = bank.log_weights, bank.f_values
-    shift = max(float(lw.max()), bank.initial_log_weight)
-    if shift == -np.inf:  # raised here, before exp(-inf - -inf) warns
-        raise DegenerateWeightsError("degenerate weights: all log weights are -inf")
+    shift = np.maximum(lw.max(), bank.initial_log_weight)
+    _check_top_log_weights(shift)
     bw = np.exp(lw - shift)
     state_lw, state_f = bank.initial_log_weight, bank.initial_f_value
     state_w = float(np.exp(state_lw - shift))
@@ -134,7 +135,7 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
         acc = 0.0
         for step in range(k):
             total = seg_totals[step] + state_w
-            own_shift = not total >= _SMALLEST_NORMAL  # NaN if all are -inf
+            own_shift = total < _SMALLEST_NORMAL  # 0.0 if all of the pool is -inf
             if own_shift:
                 w = normalize_weights(np.append(state_lw, lw[
                     perm[step * (n - 1):(step + 1) * (n - 1)]]))

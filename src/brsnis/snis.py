@@ -12,21 +12,29 @@ import numpy as np
 
 
 class DegenerateWeightsError(ValueError):
-    """All log weights are -inf: the sample carries no usable mass."""
+    """No log weight of a sample is finite: it carries no usable mass."""
+
+
+def _check_top_log_weights(top) -> None:
+    """The one rule for unusable log weights, which every estimator applies to
+    the top log weight of each of its samples before any exp(): NaN or +inf
+    raises ValueError, and -inf (no finite log weight) DegenerateWeightsError."""
+    if np.isfinite(top).all():
+        return
+    if (np.isnan(top) | np.isposinf(top)).any():
+        raise ValueError("log weights must not be NaN or +inf")
+    raise DegenerateWeightsError("degenerate weights: all log weights are -inf")
 
 
 def normalize_weights(log_weights: np.ndarray) -> np.ndarray:
     """Normalize log weights to a probability vector.
 
-    Entries of ``-inf`` contribute zero weight.  Raises
-    ``DegenerateWeightsError`` when no entry is finite.
+    Entries of ``-inf`` contribute zero weight.  A NaN or +inf entry raises
+    ValueError, and an input without a finite entry DegenerateWeightsError.
     """
     lw = np.asarray(log_weights, dtype=float).ravel()
-    if lw.size == 0:
-        raise DegenerateWeightsError("degenerate weights: empty input")
-    m = np.max(lw)
-    if not np.isfinite(m):
-        raise DegenerateWeightsError("degenerate weights: all log weights are -inf")
+    m = np.max(lw, initial=-np.inf)
+    _check_top_log_weights(m)
     w = np.exp(lw - m)
     return w / w.sum()
 

@@ -469,6 +469,27 @@ class TestDiagnoseCommand:
                             for name in ("sw.csv", "sw.csv.summary.json")])
         assert outputs[0] == outputs[1]
 
+    def test_tv_test_points_are_not_the_covariates(self, tmp_path, monkeypatch):
+        """With seed == data_seed the test points used to be the training
+        covariates bit for bit: both came off the data stream."""
+        config = tv_config(tmp_path, model={"data_seed": 9, "n_obs": 10}, replications=2,
+                           reference_draws=100)
+        seen, cli_reference = {}, cli._reference_predictive
+
+        def data(rng, dim, n_obs, theta):
+            seen["x"], y = synthetic_logistic_data(rng, dim, n_obs, theta)
+            return seen["x"], y
+
+        def reference(log_weights, points, x_test):
+            seen["x_test"] = x_test
+            return cli_reference(log_weights, points, x_test)
+
+        monkeypatch.setattr(cli, "synthetic_logistic_data", data)
+        monkeypatch.setattr(cli, "_reference_predictive", reference)
+        assert main(["diagnose", "--config", config]) == 0
+        assert seen["x_test"].shape == seen["x"].shape == (10, 3)
+        assert not np.isin(seen["x_test"], seen["x"]).any()
+
     def test_tv_reference_memory_bounded(self, tmp_path):
         """The reference runs in row blocks: 5e4 draws against 200 data rows
         and 200 test points would need two 80 MB matrices at once."""

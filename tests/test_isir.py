@@ -214,6 +214,26 @@ class TestRunChain:
             run_chain(model, unit_function(), RollingConfig(4, 2, 0),
                       np.random.default_rng(23))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("start", [-9.0, 9.0], ids=["in-pool", "at-start"])
+    def test_nan_or_inf_log_weight_rejected(self, bad, start):
+        """A NaN or +inf log weight, drawn or at the start, used to read as a
+        degenerate pool ("no finite pool max")."""
+        model = ModelSpec(dim=1, log_weight=lambda x: np.where(x[:, 0] > 0, bad, 0.0),
+                          propose=lambda rng, n: rng.standard_normal((n, 1)))
+        with pytest.raises(ValueError, match="must not be NaN or \\+inf"):
+            run_chains(model, unit_function(), 4, 2, np.full((3, 1), start),
+                       np.random.default_rng(23))
+
+    def test_three_dimensional_f_rejected(self):
+        """snis_estimate's rule: an (n, 2, 3) f used to be flattened silently
+        into six columns."""
+        f = TestFunction(fn=lambda pts: np.zeros((len(pts), 2, 3)), sup_bound=1.0)
+        with pytest.raises(ValueError, match="one- or two-dimensional"):
+            run_chains(constant_weight_model(), f, 4, 2, np.zeros((3, 1)),
+                       np.random.default_rng(0))
+
     def test_is_run_chains_from_one_proposal_draw(self, mixture2):
         """Bit for bit ``run_chains`` with one chain started from
         ``model.propose(rng, 1)`` on the same generator."""

@@ -235,6 +235,7 @@ class TestEstimateKappa:
         with pytest.raises(DegenerateWeightsError):
             estimate_kappa(np.full(4, -np.inf))
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     def test_nan_or_inf_weight_rejected(self, bad):
         """[0, +inf] used to give NaN after a warning, [0, NaN] NaN silently."""
@@ -259,9 +260,11 @@ class TestEstimateOmega:
         est = estimate_omega(model, log_weights, 8, rng)
         assert est == pytest.approx(np.exp(oracle_sup), rel=0.01)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad, error, message", [
         (-np.inf, DegenerateWeightsError, "all log weights are -inf"),
-        (np.inf, ValueError, "must not be NaN"), (np.nan, ValueError, "must not be NaN")],
+        (np.inf, ValueError, "must not be NaN or \\+inf"),
+        (np.nan, ValueError, "must not be NaN or \\+inf")],
         ids=["no-finite", "inf", "nan"])
     def test_bad_log_weights_rejected_before_search(self, bad, error, message):
         """All -inf used to give omega = inf; the check runs before any

@@ -130,6 +130,13 @@ class TestSampleBank:
             CachedSampleBank(log_weights=np.zeros(3), f_values=f_values,
                              initial_log_weight=0.0, initial_f_value=initial_f_value)
 
+    def test_three_dimensional_f_values_rejected(self):
+        """snis_estimate's rule: an (M, 2, 3) bank used to replay every round
+        and then fail with a TypeError."""
+        with pytest.raises(ValueError, match="one- or two-dimensional"):
+            CachedSampleBank(log_weights=np.zeros(3), f_values=np.zeros((3, 2, 3)),
+                             initial_log_weight=0.0, initial_f_value=np.zeros((2, 3)))
+
 
 class TestBootstrap:
     def test_matches_reference_replay(self, mixture2):
@@ -175,6 +182,20 @@ class TestBootstrap:
         """No finite weight anywhere: the error comes before any -inf - -inf."""
         bank = flat_bank(np.full(8, -np.inf), np.zeros(8), -np.inf, 0.0)
         with pytest.raises(DegenerateWeightsError):
+            bootstrap_br_snis(bank, RollingConfig(3, 4, 0), rounds=4,
+                              rng=np.random.default_rng(0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("initial", [False, True], ids=["in-bank", "initial"])
+    def test_nan_or_inf_log_weight_rejected(self, bad, initial):
+        """+inf in the bank used to warn in exp() and then read as degenerate;
+        a NaN initial log weight slipped past Python's max into the replay."""
+        lw = np.zeros(8)
+        if not initial:
+            lw[3] = bad
+        bank = flat_bank(lw, np.zeros(8), bad if initial else 0.0, 0.0)
+        with pytest.raises(ValueError, match="must not be NaN or \\+inf"):
             bootstrap_br_snis(bank, RollingConfig(3, 4, 0), rounds=4,
                               rng=np.random.default_rng(0))
 

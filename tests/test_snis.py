@@ -1,10 +1,14 @@
 """Weight normalization, the self-normalized estimator and its bounds."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brsnis
 from brsnis import (DegenerateWeightsError, coverage_check, normalize_weights,
                     snis_bias_bound, snis_estimate, snis_hpd_bound, snis_mse_bound)
 
@@ -37,6 +41,25 @@ class TestNormalizeWeights:
         with pytest.raises(DegenerateWeightsError):
             normalize_weights([-np.inf, -np.inf])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("estimate", [
+        normalize_weights, lambda lw: snis_estimate(lw, np.zeros(len(lw)))],
+        ids=["normalize", "snis-estimate"])
+    def test_nan_or_inf_rejected(self, estimate, bad):
+        """Both used to read as "all log weights are -inf"."""
+        with pytest.raises(ValueError, match="must not be NaN or \\+inf"):
+            estimate([0.0, bad, -np.inf])
+
+
+class TestWeightRule:
+    def test_raised_only_in_snis(self):
+        """Every estimator applies snis.py's one rule for unusable log
+        weights; no other module raises its errors, so it cannot fork."""
+        raising = re.compile(r"DegenerateWeightsError\(|must not be NaN or \+inf")
+        for path in sorted(Path(brsnis.__file__).parent.glob("*.py")):
+            assert bool(raising.search(path.read_text())) == (path.name == "snis.py"), \
+                path.name
 
 class TestSnisEstimate:
     def test_uniform_weights_give_plain_mean(self):
