@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .diagnostics import (fit_geometric_rate, replication_stats, sliced_wasserstein,
                           tv_predictive)
-from .isir import RollingConfig, run_chain, run_chains
+from .isir import ChainTrace, RollingConfig, run_chain, run_chains
 from .model import (CountingModel, LogisticPosteriorSpec, ModelSpec, TestFunction,
                     benchmark_mixture, estimate_kappa, estimate_omega,
                     logistic_predictive, make_gaussian_mixture,
@@ -43,6 +43,10 @@ _DATA_STREAM = 2 ** 31 + 2
 _TEST_POINTS_STREAM = 2 ** 31 + 3
 
 ESTIMATORS = ("snis", "isir-state", "br-snis", "br-snis-bootstrap")
+# The chain estimators run their replications in lockstep chunks of this many
+# chains.  The size is fixed, so no output depends on --threads.
+_CHAIN_ESTIMATORS = ("isir-state", "br-snis")
+_CHAIN_CHUNK = 64
 MODELS = ("gaussian-mixture", "logistic-synthetic")
 DIAGNOSTICS = ("sw", "tv")
 
@@ -277,24 +281,38 @@ def _normalize_grid_point(command: str, point: dict) -> dict:
 
 
 def run_replication(estimator: str, built: BuiltModel, point: dict,
-                    rng: np.random.Generator) -> tuple[float, int]:
-    """One estimate plus the instrumented proposal-draw count."""
-    counter = CountingModel(built.model)
+                    rngs: list[np.random.Generator]) -> list[tuple[float, int]]:
+    """One estimate plus its instrumented proposal-draw count per generator of
+    a chunk.  The chain estimators run the chunk's chains in lockstep, one
+    per generator; snis and the bootstrap run one replication per generator."""
     f = built.f
-    if estimator == "snis":
-        m = point["M"]
-        draws = counter.propose(rng, m)
-        estimate = snis_estimate(counter.log_weight(draws), f(draws))
+    cfg = None if estimator == "snis" else RollingConfig(point["N"], point["k"],
+                                                         point["k0"])
+    if estimator not in _CHAIN_ESTIMATORS:
+        out = []
+        for rng in rngs:
+            counter = CountingModel(built.model)
+            if cfg is None:
+                draws = counter.propose(rng, point["M"])
+                estimate = snis_estimate(counter.log_weight(draws), f(draws))
+            else:
+                bank = build_sample_bank(counter, f, point["M"], rng)
+                estimate = bootstrap_br_snis(bank, cfg, point["rounds"], rng)
+            out.append((float(estimate), counter.proposal_draws))
+        return out
+    counter = CountingModel(built.model)
+    trace = run_chain(counter, f, cfg, rngs)
+    if estimator == "br-snis":
+        estimates = [rolling_estimate(ChainTrace(recycled, states), cfg.burn_in)
+                     for recycled, states in zip(trace.recycled_estimates, trace.states)]
     else:
-        cfg = RollingConfig(point["N"], point["k"], point["k0"])
-        if estimator == "br-snis-bootstrap":
-            bank = build_sample_bank(counter, f, point["M"], rng)
-            estimate = bootstrap_br_snis(bank, cfg, point["rounds"], rng)
-        else:
-            trace = run_chain(counter, f, cfg, rng)
-            estimate = (rolling_estimate(trace, cfg.burn_in) if estimator == "br-snis"
-                        else float(np.mean(f(trace.states[cfg.burn_in + 1:]))))
-    return float(estimate), counter.proposal_draws
+        kept = trace.states[:, cfg.burn_in + 1:]
+        estimates = np.mean(f(kept.reshape(-1, kept.shape[-1])).reshape(len(rngs), -1),
+                            axis=1)
+    draws, uneven = divmod(counter.proposal_draws, len(rngs))
+    if uneven:
+        raise RuntimeError("the chains of a chunk drew unequal proposal counts")
+    return [(float(estimate), draws) for estimate in estimates]
 
 
 def _grid_bounds(point: dict, omega: float, kappa: float) -> dict:
@@ -375,13 +393,19 @@ def _write_outputs(out_path: str, lines: list[str], summary: dict):
             raise
 
 
-def _replicate(seed: int, grid_index: int, replications: int, threads: int, job) -> list:
-    """``job(rng)`` for each replication of one grid point, in replication order."""
+def _replicate(seed: int, grid_index: int, replications: int, threads: int, job,
+               chunk: int = 1) -> list:
+    """``job(rngs)`` on consecutive chunks of ``chunk`` replication generators
+    of one grid point, one result per generator, in replication order.  The
+    chunks do not depend on ``threads``; each worker runs whole chunks."""
     rngs = [replication_rng(seed, grid_index, r) for r in range(replications)]
+    chunks = [rngs[i:i + chunk] for i in range(0, replications, chunk)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, rngs))
-    return [job(rng) for rng in rngs]
+            results = list(pool.map(job, chunks))
+    else:
+        results = [job(rngs) for rngs in chunks]
+    return [result for part in results for result in part]
 
 
 def cmd_experiment(config: dict, threads: int) -> int:
@@ -399,7 +423,8 @@ def cmd_experiment(config: dict, threads: int) -> int:
     summary_points = []
     for grid_index, point in enumerate(grid):
         results = _replicate(seed, grid_index, replications, threads,
-                             lambda rng: run_replication(estimator, built, point, rng))
+                             lambda rngs: run_replication(estimator, built, point, rngs),
+                             _CHAIN_CHUNK if estimator in _CHAIN_ESTIMATORS else 1)
         estimates = np.array([r[0] for r in results])
         draw_counts = sorted({r[1] for r in results})
         for replication, (estimate, _) in enumerate(results):
@@ -460,7 +485,8 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
                                        _stream_rng(seed, _REFERENCE_STREAM))
                     for k in range(k_max + 1)]
 
-        sw_by_k = np.array(_replicate(seed, gi, groups, threads, one))
+        sw_by_k = np.array(_replicate(seed, gi, groups, threads,
+                                      lambda rngs: [one(rng) for rng in rngs]))
         means = sw_by_k.mean(axis=0)
         ses = sw_by_k.std(axis=0, ddof=1) / np.sqrt(groups)
         for k in range(k_max + 1):
@@ -533,8 +559,8 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
         br_sum = np.zeros(n_test)
         tv_snis = np.empty(replications)
         tv_br = np.empty(replications)
-        for r, (p_snis, p_br) in enumerate(_replicate(seed, gi, replications, threads,
-                                                      one)):
+        for r, (p_snis, p_br) in enumerate(_replicate(
+                seed, gi, replications, threads, lambda rngs: [one(rng) for rng in rngs])):
             snis_sum += p_snis
             br_sum += p_br
             tv_snis[r] = tv_predictive(np.clip(p_snis, 0, 1), reference)

@@ -7,19 +7,22 @@ estimate: the self-normalized estimate over all N candidates, which is what
 the rolling estimators average.
 
 ``run_chains`` runs many chains in lockstep from the initial states it is
-given.  It keeps the state first in every pool and draws no insertion slot:
-the selection and the recycled estimate are symmetric in the pool's points,
-so no law depends on the layout, and a fixed slot needs no draw and no
-per-chain gather.  ``test_agrees_with_sequential_runner`` checks this
-against ``isir_step`` in ``tests/oracles.py``, a step-by-step reference that
-draws a uniform slot.  ``run_chain`` is ``run_chains`` with one chain
-started from one proposal draw.  ``RollingConfig`` holds the schedule of
-the chain estimators, and ``ChainTrace`` the recycled estimates and states
-of a run.
+given, off one shared generator or off one generator per chain.  It keeps
+the state first in every pool and draws no insertion slot: the selection
+and the recycled estimate are symmetric in the pool's points, so no law
+depends on the layout, and a fixed slot needs no draw and no per-chain
+gather.  ``test_agrees_with_sequential_runner`` checks this against
+``isir_step`` in ``tests/oracles.py``, a step-by-step reference that draws a
+uniform slot.  ``run_chain`` runs a batch of replications: one chain per
+generator, each started from one proposal draw on its own generator, so a
+chain's stream does not depend on the batch it runs in.  ``RollingConfig``
+holds the schedule of the chain estimators, and ``ChainTrace`` the recycled
+estimates and states of a run.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +35,9 @@ from .snis import snis_estimate  # noqa: F401  patched here by perfbench/tracer.
 @dataclass(frozen=True)
 class RollingConfig:
     """Pool size N, iteration count k and burn-in k0 (0 <= k0 < k): the
-    schedule of every chain estimator.  ``run_chain`` reads N and k; its
-    caller applies the burn-in, and ``bootstrap_br_snis`` reads all three."""
+    schedule of every chain estimator.  ``run_chain`` reads N and k for
+    every chain of its batch; its caller applies the burn-in to each chain,
+    and ``bootstrap_br_snis`` reads all three."""
 
     n_candidates: int
     n_iters: int
@@ -50,25 +54,33 @@ class RollingConfig:
 
 @dataclass(frozen=True)
 class ChainTrace:
-    """The per-iteration recycled estimates and the states Y_0..Y_k.  From
-    ``run_chains`` both carry a leading chain axis."""
+    """The per-iteration recycled estimates and the states Y_0..Y_k.  Both
+    chain runners put a leading chain axis on each; ``rolling_estimate``
+    reads the trace of one chain, without it."""
 
     recycled_estimates: np.ndarray
     states: np.ndarray
 
 
 def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: int,
-               starts: np.ndarray, rng: np.random.Generator) -> ChainTrace:
-    """Run one chain per row of ``starts`` in lockstep off one shared generator.
+               starts: np.ndarray,
+               rng: np.random.Generator | Sequence[np.random.Generator]) -> ChainTrace:
+    """Run one chain per row of ``starts`` in lockstep.
 
-    Per iteration the generator gives all chains' N - 1 proposal draws, then
-    one selection uniform per chain; ``starts`` is left unmodified.  The trace
-    has recycled estimates ``(chains, iters[, q])`` and states
-    ``(chains, iters + 1, dim)``.
+    ``rng`` is one generator shared by all chains, or one generator per
+    chain.  Per iteration a shared generator gives all chains' N - 1
+    proposal draws, then one selection uniform per chain; chain c's own
+    generator gives its N - 1 draws, then its one uniform.  Either way one
+    ``log_weight`` and one ``f`` call take all chains' draws, and ``starts``
+    is left unmodified.  The trace has recycled estimates
+    ``(chains, iters[, q])`` and states ``(chains, iters + 1, dim)``.
     """
     if n_candidates < 2 or n_iters < 1:
         raise ValueError("a chain needs n_candidates >= 2 and n_iters >= 1")
     n_chains = len(starts)
+    shared = isinstance(rng, np.random.Generator)
+    if not shared and len(rng) != n_chains:
+        raise ValueError("need one generator per chain")
     state_lw, f0 = model.log_weight(starts), f(starts)
     if f0.ndim not in (1, 2):
         raise ValueError("f_values must be one- or two-dimensional")
@@ -81,7 +93,8 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
     states = np.empty((n_chains, n_iters + 1, model.dim))
     states[:, 0] = starts
     for step in range(n_iters):
-        fresh = model.propose(rng, n_chains * m)
+        fresh = (model.propose(rng, n_chains * m) if shared
+                 else np.concatenate([model.propose(g, m) for g in rng]))
         lw = model.log_weight(fresh).reshape(n_chains, m)
         fv = f(fresh).reshape(n_chains, m, -1)
         shift = np.maximum(lw.max(axis=1), state_lw)
@@ -91,7 +104,7 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
         total = w_fresh.sum(axis=1) + w_state
         recycled[:, step] = (w_state[:, None] * state_fv +
                              (w_fresh[:, :, None] * fv).sum(axis=1)) / total[:, None]
-        u = rng.random(n_chains) * total
+        u = total * (rng.random(n_chains) if shared else [g.random() for g in rng])
         cum = np.cumsum(np.concatenate([w_state[:, None], w_fresh], axis=1), axis=1)
         pick = np.minimum((cum < u[:, None]).sum(axis=1), m)
         moved = np.nonzero(pick > 0)[0]
@@ -105,11 +118,10 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
 
 
 def run_chain(model: ModelSpec, f: TestFunction, cfg: RollingConfig,
-              rng: np.random.Generator) -> ChainTrace:
-    """Run one chain from one proposal draw: ``run_chains`` with one chain, on
-    the same stream; recycled_estimates[l] is the pool-l SNIS estimate."""
-    trace = run_chains(model, f, cfg.n_candidates, cfg.n_iters, model.propose(rng, 1),
-                       rng)
-    return ChainTrace(recycled_estimates=trace.recycled_estimates[0],
-                      states=trace.states[0])
-
+              rngs: Sequence[np.random.Generator]) -> ChainTrace:
+    """Run one chain per generator, each started from ``model.propose(g, 1)``
+    on its own generator ``g``: ``run_chains`` with one generator per chain.
+    Chain c's stream is that of a lone chain on ``rngs[c]``, whatever the
+    batch; recycled_estimates[c, l] is chain c's pool-l SNIS estimate."""
+    starts = np.concatenate([model.propose(g, 1) for g in rngs])
+    return run_chains(model, f, cfg.n_candidates, cfg.n_iters, starts, rngs)

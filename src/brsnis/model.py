@@ -476,6 +476,11 @@ def make_logistic_posterior(spec: LogisticPosteriorSpec) -> ModelSpec:
         # on two reused (block x n_obs) buffers, less the proposal's log
         # kernel, so no (n, dim) or (n, n_obs) temporary is made.
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
+        if len(theta) == 1:
+            # A lone row goes through BLAS's matrix-vector kernel, whose bits
+            # can differ from the same row of a larger product; as a two-row
+            # block it gets the bits it has in any batch.
+            return log_weight(np.repeat(theta, 2, axis=0))[:1]
         out = np.empty(len(theta))
         shape = (min(len(theta), block + 1), spec.n_obs)
         margins, softplus = np.empty(shape), np.empty(shape)

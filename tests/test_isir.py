@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from oracles import categorical_draw, isir_step, key_relation_check
 from scipy.stats import chisquare
 
-from brsnis import (DegenerateWeightsError, ModelSpec, RollingConfig, TestFunction,
+from brsnis import (DegenerateWeightsError, LogisticPosteriorSpec, ModelSpec,
+                    RollingConfig, TestFunction, make_logistic_posterior,
                     normalize_weights, run_chain, run_chains, sliced_wasserstein,
-                    snis_estimate)
+                    snis_estimate, synthetic_logistic_data)
 
 
 class _FixedUniform:
@@ -160,12 +161,12 @@ class TestRunChain:
         states match exactly, each recycled value is bitwise the runner's pool
         SNIS (shift by the pool max, state term plus fresh sum, over the
         total) and within rel 1e-12 of ``snis_estimate``."""
-        trace = run_chain(model, f, RollingConfig(n, k, 0), np.random.default_rng(seed))
+        trace = run_chain(model, f, RollingConfig(n, k, 0), [np.random.default_rng(seed)])
         rng = np.random.default_rng(seed)
         y = model.propose(rng, 1)[0]
         y_lw, y_f = model.log_weight(y[None, :])[0], f(y[None, :])[0]
-        for step, level in enumerate(trace.recycled_estimates):
-            np.testing.assert_array_equal(trace.states[step], y)
+        for step, level in enumerate(trace.recycled_estimates[0]):
+            np.testing.assert_array_equal(trace.states[0, step], y)
             fresh = model.propose(rng, n - 1)
             u, lw, fv = rng.random(), model.log_weight(fresh), f(fresh)
             assert level == pytest.approx(snis_estimate(
@@ -175,7 +176,7 @@ class TestRunChain:
             j = min(int(np.searchsorted(np.cumsum(w), u * (w[1:].sum() + w[0]))), n - 1)
             if j > 0:
                 y, y_lw, y_f = fresh[j - 1], lw[j - 1], fv[j - 1]
-        np.testing.assert_array_equal(trace.states[k], y)
+        np.testing.assert_array_equal(trace.states[0, k], y)
         return trace
 
     def test_single_iteration_matches_manual_step(self, mixture2):
@@ -190,7 +191,7 @@ class TestRunChain:
         """The replay keeps the state in every pool; the chain stays at some steps."""
         _, model, f, _ = mixture2
         trace = self.assert_matches_hand_replay(model, f, n=5, k=12, seed=8)
-        stays = np.all(trace.states[1:] == trace.states[:-1], axis=1)
+        stays = np.all(trace.states[0, 1:] == trace.states[0, :-1], axis=1)
         assert stays.any() and not stays.all()
 
     def test_vector_test_function_columns(self, mixture2):
@@ -199,7 +200,7 @@ class TestRunChain:
         f2 = TestFunction(fn=lambda pts: np.column_stack([f(pts), np.ones(len(pts))]),
                           sup_bound=1.0)
         for run in (lambda g: run_chain(model, g, RollingConfig(9, 5, 0),
-                                        np.random.default_rng(21)).recycled_estimates,
+                                        [np.random.default_rng(21)]).recycled_estimates[0],
                     lambda g: cold_chains(model, g, 9, 5, 3,
                                           np.random.default_rng(21)).recycled_estimates):
             scalar, vector = run(f), run(f2)
@@ -212,7 +213,7 @@ class TestRunChain:
                           propose=lambda rng, n: rng.standard_normal((n, 1)))
         with pytest.raises(DegenerateWeightsError):
             run_chain(model, unit_function(), RollingConfig(4, 2, 0),
-                      np.random.default_rng(23))
+                      [np.random.default_rng(23)])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -238,12 +239,12 @@ class TestRunChain:
         """Bit for bit ``run_chains`` with one chain started from
         ``model.propose(rng, 1)`` on the same generator."""
         _, model, f, _ = mixture2
-        trace = run_chain(model, f, RollingConfig(7, 9, 0), np.random.default_rng(24))
+        trace = run_chain(model, f, RollingConfig(7, 9, 0), [np.random.default_rng(24)])
         rng = np.random.default_rng(24)
         batch = run_chains(model, f, 7, 9, model.propose(rng, 1), rng)
-        np.testing.assert_array_equal(trace.recycled_estimates,
+        np.testing.assert_array_equal(trace.recycled_estimates[0],
                                       batch.recycled_estimates[0])
-        np.testing.assert_array_equal(trace.states, batch.states[0])
+        np.testing.assert_array_equal(trace.states[0], batch.states[0])
 
     def test_explicit_and_target_starts(self, mixture2):
         """``run_chains`` begins at the starts it is given, explicit points or
@@ -279,6 +280,40 @@ class TestRunChains:
         est = batch.recycled_estimates[:, 0]
         se = est.std(ddof=1) / np.sqrt(len(est))
         assert abs(est.mean() - truth) <= 4.0 * se
+
+    @pytest.fixture(scope="class")
+    def logistic(self):
+        """The default-sized logistic posterior (d = 5, 200 observations),
+        whose one-row log weights once had bits of their own, and a clipped
+        coordinate as f."""
+        x, y = synthetic_logistic_data(np.random.default_rng(23), 5, 200,
+                                       np.array([1.0, -0.5, 0.0, 0.5, 2.0]))
+        model = make_logistic_posterior(LogisticPosteriorSpec(x, y, prior_precision=0.05))
+        return model, TestFunction(fn=lambda pts: np.clip(pts[:, 0], -50.0, 50.0),
+                                   sup_bound=50.0)
+
+    @pytest.mark.parametrize("which", ["mixture", "logistic"])
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    @pytest.mark.parametrize("chains", [1, 2, 5])
+    def test_per_chain_generators_give_lone_chain_streams(self, mixture2, logistic,
+                                                          which, n, chains):
+        """With one generator per chain, chain c's trace is bitwise what
+        ``run_chains`` gives for chain c alone on its own generator."""
+        model, f = mixture2[1:3] if which == "mixture" else logistic
+        starts = model.propose(np.random.default_rng(30), chains)
+        rngs = [np.random.default_rng([31, c]) for c in range(chains)]
+        batch = run_chains(model, f, n, 6, starts, rngs)
+        for c in range(chains):
+            lone = run_chains(model, f, n, 6, starts[c:c + 1], np.random.default_rng([31, c]))
+            np.testing.assert_array_equal(batch.recycled_estimates[c],
+                                          lone.recycled_estimates[0])
+            np.testing.assert_array_equal(batch.states[c], lone.states[0])
+
+    def test_one_generator_per_chain_required(self, mixture2):
+        _, model, f, _ = mixture2
+        with pytest.raises(ValueError, match="one generator per chain"):
+            run_chains(model, f, 4, 2, np.zeros((3, 2)),
+                       [np.random.default_rng(c) for c in range(2)])
 
     def test_agrees_with_sequential_runner(self, mixture2):
         """The lockstep runner and iterated reference steps draw from the

@@ -545,6 +545,19 @@ class TestLogisticRowBlocks:
         assert np.array_equal(model.log_weight(theta),
                               unblocked_logistic_log_weight(spec, theta))
 
+    def test_lone_row_has_its_batch_bits(self):
+        """Each row evaluated alone is bitwise its row of one 400-row call.
+        BLAS computes a one-row product with its matrix-vector kernel, which
+        gave 46 of these rows other bits before a lone row was evaluated as a
+        two-row block; the chain runners evaluate lone rows."""
+        rng = np.random.default_rng(23)
+        x, y = synthetic_logistic_data(rng, 5, self.N_OBS,
+                                       np.array([1.0, -0.5, 0.0, 0.5, 2.0]))
+        model = make_logistic_posterior(LogisticPosteriorSpec(x, y, prior_precision=0.05))
+        theta = model.propose(rng, 400)
+        alone = np.concatenate([model.log_weight(row[None]) for row in theta])
+        assert np.array_equal(alone, model.log_weight(theta))
+
 
 class TestLogisticInPlace:
     """The logistic layer computes in place: the softplus likelihood agrees

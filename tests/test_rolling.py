@@ -94,15 +94,16 @@ class TestBrSnis:
         _, model, f, _ = mixture2
         counter = CountingModel(model)
         n, k = 7, 5
-        trace = run_chain(counter, f, RollingConfig(n, k, 2), np.random.default_rng(0))
-        rolling_estimate(trace, 2)
+        trace = run_chain(counter, f, RollingConfig(n, k, 2), [np.random.default_rng(0)])
+        rolling_estimate(ChainTrace(trace.recycled_estimates[0], trace.states[0]), 2)
         assert counter.proposal_draws == (n - 1) * k + 1
 
     def test_bounded_by_sup_bound(self, mixture2):
         _, model, f, _ = mixture2
         for seed in range(5):
-            trace = run_chain(model, f, RollingConfig(5, 6, 0), np.random.default_rng(seed))
-            assert abs(rolling_estimate(trace, 3)) <= f.sup_bound
+            trace = run_chain(model, f, RollingConfig(5, 6, 0), [np.random.default_rng(seed)])
+            assert abs(rolling_estimate(ChainTrace(trace.recycled_estimates[0],
+                                                   trace.states[0]), 3)) <= f.sup_bound
 
 
 class TestSampleBank:
