@@ -38,10 +38,14 @@ def replication_stats(estimates: np.ndarray, truth: float,
 
     The estimates are split in order into batches of ``batch_size``, which
     must divide their number; the standard errors are taken across batches.
+    A NaN or infinite estimate or truth raises ValueError rather than give
+    NaN statistics.
     """
     estimates = np.asarray(estimates, dtype=float).ravel()
     if estimates.size == 0:
         raise ValueError("estimates must be non-empty")
+    if not (np.isfinite(estimates).all() and np.isfinite(truth)):
+        raise ValueError("estimates and truth must be finite")
     if batch_size < 1 or estimates.size % batch_size:
         raise ValueError("batch_size must divide the number of replications")
     batches = estimates.reshape(-1, batch_size)
@@ -138,13 +142,17 @@ def coverage_check(estimates: np.ndarray, truth: float, bound: float,
     """Check that |estimate - truth| exceeds the bound at most delta-often.
 
     Passes when the violation fraction stays within delta plus a two sigma
-    binomial allowance for the finite replication count.
+    binomial allowance for the finite replication count.  A NaN or infinite
+    estimate, truth or bound raises ValueError: a NaN compares false, so it
+    would count as covered.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     estimates = np.asarray(estimates, dtype=float).ravel()
     if estimates.size == 0:
         raise ValueError("estimates must be non-empty")
+    if not (np.isfinite(estimates).all() and np.isfinite(truth) and np.isfinite(bound)):
+        raise ValueError("estimates, truth and bound must be finite")
     fraction = float(np.mean(np.abs(estimates - truth) > bound))
     slack = 2.0 * np.sqrt(delta * (1.0 - delta) / estimates.size)
     return CoverageResult(fraction, fraction <= delta + slack)
@@ -155,18 +163,22 @@ def fit_geometric_rate(values: np.ndarray,
     """Least-squares fit of log(values) against the iteration index.
 
     Returns (slope, intercept); the slope is the fitted per-step log rate.
-    Values must be strictly positive and at least three points long.
+    Values must be finite, strictly positive and at least three points long,
+    and ks finite.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size < 3:
         raise ValueError("need at least three points to fit a rate")
-    if np.any(values <= 0):
-        raise ValueError("values must be strictly positive")
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not np.all((values > 0) & (values < np.inf)):
+        raise ValueError("values must be finite and strictly positive")
     if ks is None:
         ks = np.arange(values.size, dtype=float)
     else:
         ks = np.asarray(ks, dtype=float).ravel()
         if ks.shape != values.shape:
             raise ValueError("ks must match values in length")
+        if not np.isfinite(ks).all():
+            raise ValueError("ks must be finite")
     slope, intercept = np.polyfit(ks, np.log(values), 1)
     return float(slope), float(intercept)

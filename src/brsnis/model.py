@@ -13,11 +13,12 @@ vectorized ``exp`` and ``log1p``, in place on reused row-block buffers,
 rather than with ``np.logaddexp(0, -z)``, which numpy runs as a scalar libm
 loop several times slower.  The two agree to a few ulp, not bit for bit.
 
-scipy is imported only inside the functions that need it (``gammaln`` for the
-Student normalizer, ``ndtr`` for the mixture's box probabilities,
-``logsumexp`` for the weight constants), so importing the package or building
-the logistic model loads none of it.  The weight maximization is a lockstep
-multistart Nelder-Mead in numpy that follows scipy's iterates bit for bit.
+No command loads scipy.  The three special functions the models need,
+``gammaln`` for the Student normalizer, ``ndtr`` for the mixture's box
+probabilities and ``logsumexp`` for the weight constants, come from
+``_special``, ports that return scipy 1.17's bits, and the weight maximization
+is a lockstep multistart Nelder-Mead in numpy that follows scipy's iterates
+bit for bit.  scipy is left to the tests, which hold each port to it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._special import gammaln, logsumexp, ndtr
 from .snis import _check_top_log_weights
 
 
@@ -273,8 +275,6 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
     sampler consumes ``n`` uniforms (component choice) followed by
     ``(n, dim)`` standard normals.
     """
-    from scipy.special import gammaln
-
     dim = spec.dim
     sd = np.sqrt(spec.cov_scale)
     two_var = 2.0 * spec.cov_scale
@@ -319,14 +319,12 @@ def mixture_rectangle_probability(spec: MixtureSpec, rect: np.ndarray) -> float:
     Product of one-dimensional Gaussian CDF differences per component, mixed
     by the component masses.
     """
-    from scipy.special import ndtr
-
     rect = np.asarray(rect, dtype=float)
     sd = np.sqrt(spec.cov_scale)
     total = 0.0
     for j, mass in enumerate((spec.weight, 1.0 - spec.weight)):
-        hi = ndtr((rect[:, 1] - spec.means[j]) / sd)
-        lo = ndtr((rect[:, 0] - spec.means[j]) / sd)
+        hi, lo = (np.array([ndtr(v) for v in (edge - spec.means[j]) / sd])
+                  for edge in (rect[:, 1], rect[:, 0]))
         total += mass * float(np.prod(hi - lo))
     return total
 
@@ -523,8 +521,6 @@ def estimate_kappa(log_weights: np.ndarray) -> float:
     the result is invariant to any constant shift of the log weights.  A NaN
     or +inf log weight raises ValueError, and a sample without a finite one
     DegenerateWeightsError, before anything is computed."""
-    from scipy.special import logsumexp
-
     n = len(log_weights)
     if n < 2:
         raise ValueError("kappa needs the log weights of at least 2 draws")
@@ -630,8 +626,6 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
     len(log_weights)), so the ratio can land on either side of the true
     constant.  ``log_weights`` is checked as ``estimate_kappa`` checks it.
     """
-    from scipy.special import logsumexp
-
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     # The pass's top log weight is checked finite, and like every start's a

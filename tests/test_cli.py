@@ -635,6 +635,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "runtime error: weight maximization diverged")
 
+    def test_nan_sw_curve_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        """A NaN distance reaches the rate fit, which used to write a NaN slope."""
+        monkeypatch.setattr(cli, "sliced_wasserstein", lambda *args: float("nan"))
+        assert main(["diagnose", "--config", sw_config(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "runtime error: values must be finite")
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
     def test_parse_error(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -680,24 +688,33 @@ class TestShippedInputs:
 
 
 class TestImportPath:
-    """scipy stays off the import path: the CLI and the logistic model load
-    none of it, and the mixture only ``scipy.special``."""
+    """No command loads scipy: the mixture's special functions are ports."""
 
-    def test_build_model_loads_no_scipy_optimize(self):
+    def test_build_model_loads_no_scipy_optimize(self, tmp_path):
+        """Both models, ``bounds`` estimating omega and kappa, and a mixture
+        ``experiment`` (truth and estimated constants) in one fresh
+        interpreter load no scipy module at all."""
+        small = ["--override", "estimate_draws=2000", "--override", "estimate_restarts=2"]
+        experiment = ["experiment", "--config", "configs/mixture_snis_baseline.json",
+                      "--override", "grid=[{\"M\": 64}]", "--override", "replications=2",
+                      "--override", "batch_size=1", "--out", str(tmp_path / "out.csv"),
+                      *small]
         code = (
             "import sys\n"
             "from brsnis import cli\n"
-            "def build(name):\n"
+            "for name in ('logistic_tv', 'mixture_bounds'):\n"
             "    cli.build_model(cli.load_config(f'configs/{name}.json', [])['model'])\n"
-            "build('logistic_tv')\n"
-            "assert not any(m.startswith('scipy') for m in sys.modules), 'logistic'\n"
-            "build('mixture_bounds')\n"
-            "assert 'scipy.optimize' not in sys.modules, 'mixture'\n")
+            f"assert cli.main(['bounds', '--config', 'configs/mixture_bounds.json', *{small!r}]) == 0\n"
+            f"assert cli.main({experiment!r}) == 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
         src = str(Path(brsnis.model.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
         assert proc.returncode == 0, proc.stderr
+        summary = json.loads((tmp_path / "out.csv.summary.json").read_text())
+        assert summary["constants_estimated"] and "truth" in summary["points"][0]
 
 
 class TestTraceHooks:

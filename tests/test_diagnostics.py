@@ -45,6 +45,14 @@ class TestReplicationStats:
         with pytest.raises(ValueError):
             replication_stats([1.0, 2.0, 3.0], 0.0, 2)
 
+    @pytest.mark.parametrize("estimates, truth", [
+        ([1.0, np.nan], 1.0), ([1.0, np.inf], 1.0), ([1.0, 2.0], np.nan)],
+        ids=["nan-estimate", "inf-estimate", "nan-truth"])
+    def test_non_finite_rejected(self, estimates, truth):
+        """A NaN estimate or truth used to give NaN bias, MSE and errors."""
+        with pytest.raises(ValueError, match="estimates and truth must be finite"):
+            replication_stats(estimates, truth, 1)
+
 
 class TestLagCovariance:
     def test_independent_sequences_near_zero(self):
@@ -194,6 +202,15 @@ class TestCoverageCheck:
         with pytest.raises(ValueError, match="estimates must be non-empty"):
             coverage_check(np.empty(0), 0.0, bound=0.1, delta=0.1)
 
+    @pytest.mark.parametrize("estimates, truth, bound", [
+        ([0.0, np.nan], 0.0, 0.1), ([0.0, -np.inf], 0.0, 0.1),
+        ([0.0, 0.0], np.nan, 0.1), ([0.0, 0.0], 0.0, np.nan)],
+        ids=["nan-estimate", "inf-estimate", "nan-truth", "nan-bound"])
+    def test_non_finite_rejected(self, estimates, truth, bound):
+        """A NaN compares false against the bound, so each case used to pass."""
+        with pytest.raises(ValueError, match="estimates, truth and bound must be finite"):
+            coverage_check(estimates, truth, bound, delta=0.1)
+
 
 class TestFitGeometricRate:
     def test_exact_geometric_sequence(self):
@@ -219,3 +236,14 @@ class TestFitGeometricRate:
             fit_geometric_rate([1.0, 2.0])
         with pytest.raises(ValueError):
             fit_geometric_rate([1.0, -2.0, 3.0])
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan, 3.0], [1.0, np.inf, 3.0]],
+                             ids=["nan", "inf"])
+    def test_non_finite_values_rejected(self, values):
+        """``values <= 0`` let NaN through, and the fit returned (nan, nan)."""
+        with pytest.raises(ValueError, match="values must be finite"):
+            fit_geometric_rate(values)
+
+    def test_non_finite_ks_rejected(self):
+        with pytest.raises(ValueError, match="ks must be finite"):
+            fit_geometric_rate([1.0, 2.0, 3.0], [0.0, np.nan, 2.0])

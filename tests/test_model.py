@@ -14,6 +14,7 @@ from scipy.optimize import brentq, minimize
 from scipy.special import gammaln, logsumexp
 
 import brsnis.model
+from brsnis import _special
 from brsnis import (CountingModel, DegenerateWeightsError, LogisticPosteriorSpec,
                     MixtureSpec, ModelSpec, NewtonConvergenceError, TestFunction,
                     UnboundedWeightError, benchmark_mixture, estimate_kappa, estimate_omega, indicator_difference,
@@ -209,6 +210,47 @@ class TestLogSumExpBitwise:
         monkeypatch.setattr(scipy.special, "logsumexp", fail)
         model.log_weight(points)
         model.log_weight(points[0])
+
+
+class TestSpecialPorts:
+    """``_special`` returns scipy's bits, so dropping scipy from the package
+    moves no output."""
+
+    @staticmethod
+    def assert_port_matches(port, oracle, xs):
+        xs = np.asarray(xs, dtype=float)
+        assert np.array_equal(np.array([port(x) for x in xs]), oracle(xs))
+
+    def test_gammaln_at_student_arguments(self):
+        """The Student normalizer's arguments: dof / 2 and (dof + d) / 2."""
+        xs = [DOF / 2.0] + [(DOF + d) / 2.0 for d in range(1, 20001)]
+        self.assert_port_matches(_special.gammaln, gammaln, xs)
+
+    def test_gammaln_at_uniform_draws(self):
+        xs = np.random.default_rng(50).uniform(0.01, 5000.0, 2 * 10 ** 5)
+        self.assert_port_matches(_special.gammaln, gammaln, xs)
+
+    def test_gammaln_exact_branch_at_two(self):
+        """(3 + 1) / 2 = 2 lands on the recurrence's exact branch, log(1)."""
+        assert _special.gammaln(2.0) == gammaln(2.0) == 0.0
+
+    def test_ndtr_on_grid(self):
+        self.assert_port_matches(_special.ndtr, scipy.special.ndtr,
+                                 np.linspace(-40.0, 40.0, 5 * 10 ** 5))
+
+    def test_ndtr_at_infinities(self):
+        assert (_special.ndtr(np.inf), _special.ndtr(-np.inf)) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 10 ** 6])
+    def test_logsumexp_with_ties_at_max(self, n):
+        a = np.random.default_rng(51 + n).normal(0.0, 30.0, n)
+        a[::3] = a.max()
+        assert _special.logsumexp(a) == logsumexp(a)
+
+    @pytest.mark.parametrize("a", [[-np.inf, 1.0, -np.inf, 0.5], [-np.inf, -np.inf],
+                                   [-np.inf], [2.5], [-7.0]])
+    def test_logsumexp_minus_inf_and_single_entries(self, a):
+        assert _special.logsumexp(np.array(a)) == logsumexp(np.array(a))
 
 
 class TestEstimateKappa:
