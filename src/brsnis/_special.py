@@ -145,9 +145,13 @@ def logsumexp(a: np.ndarray) -> float:
     a = np.asarray(a, dtype=float).ravel()
     top = a.max(keepdims=True)
     tied = a == top
-    m = np.sum(tied, keepdims=True, dtype=float)
+    m = np.full(1, np.count_nonzero(tied), dtype=float)
+    # An all -inf input or a +inf entry makes a NaN here; the fallback redoes it.
     with np.errstate(invalid="ignore"):
-        s = np.exp(np.where(tied, -np.inf, a) - top).sum(keepdims=True)
+        e = a - top
+        np.exp(e, out=e)
+        e[tied] = 0.0
+        s = e.sum(keepdims=True)
         s = np.where(s == 0, s, s / m)
         with np.errstate(divide="ignore"):
             out = np.log1p(s) + np.log(m) + top

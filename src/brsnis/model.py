@@ -13,6 +13,13 @@ vectorized ``exp`` and ``log1p``, in place on reused row-block buffers,
 rather than with ``np.logaddexp(0, -z)``, which numpy runs as a scalar libm
 loop several times slower.  The two agree to a few ulp, not bit for bit.
 
+The mixture's log weight runs coordinate-major: each row block is copied to
+``(dim, n)`` and the squared distances to both component centers are summed
+over the coordinates by ``_coordinate_sums``, which repeats the order of
+numpy's pairwise ``sum(axis=1)``, so every row keeps the bits of the
+row-major sum while numpy's loops run along the rows rather than along a row
+only ``dim`` wide.
+
 No command loads scipy.  The three special functions the models need,
 ``gammaln`` for the Student normalizer, ``ndtr`` for the mixture's box
 probabilities and ``logsumexp`` for the weight constants, come from
@@ -180,7 +187,11 @@ _STUDENT_DOF = 3.0
 def _student_draws(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """``n`` standard Student draws: ``(n, dim)`` normals, then ``n`` chi-squares."""
     z = rng.standard_normal((n, dim))
-    z *= np.sqrt(_STUDENT_DOF / rng.chisquare(_STUDENT_DOF, n))[:, None]
+    # Scaled in place: one n-vector beside the normals.
+    scale = rng.chisquare(_STUDENT_DOF, n)
+    np.divide(_STUDENT_DOF, scale, out=scale)
+    np.sqrt(scale, out=scale)
+    z *= scale[:, None]
     return z
 
 
@@ -256,6 +267,38 @@ def benchmark_mixture(dim: int) -> MixtureSpec:
     )
 
 
+# numpy's pairwise summation (``pairwise_sum`` in its loops) sums up to this
+# many terms with eight interleaved accumulators and splits longer runs.
+_PAIRWISE_BLOCK = 128
+
+
+def _coordinate_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over axis -2 of ``a``, each column in numpy's pairwise order.
+
+    Column j gets the bits ``a[..., :, j].sum()`` gives a contiguous row:
+    below 8 terms one sequential sum, up to ``_PAIRWISE_BLOCK`` eight
+    strided accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    plus the tail in order, and above that the two halves split at a
+    multiple of 8, each summed the same way.  Every step adds whole rows of
+    columns, so numpy's vector loops run along the columns.
+    """
+    count = a.shape[-2]
+    if count < 8:
+        return np.add.reduce(a, axis=-2)
+    if count <= _PAIRWISE_BLOCK:
+        head = count - count % 8
+        r = np.add.reduce(a[..., :head, :].reshape(a.shape[:-2] + (-1, 8, a.shape[-1])),
+                          axis=-3)
+        out = ((r[..., 0, :] + r[..., 1, :]) + (r[..., 2, :] + r[..., 3, :])) \
+            + ((r[..., 4, :] + r[..., 5, :]) + (r[..., 6, :] + r[..., 7, :]))
+        for i in range(head, count):
+            out += a[..., i, :]
+        return out
+    half = count // 2
+    half -= half % 8
+    return _coordinate_sums(a[..., :half, :]) + _coordinate_sums(a[..., half:, :])
+
+
 def _log_add_exp(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     """log(exp(c0) + exp(c1)) by the arithmetic of scipy 1.17's ``logsumexp``
     over two rows, so bit for bit its result: hi + log1p(exp(lo - hi)), and
@@ -279,15 +322,20 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
     sd = np.sqrt(spec.cov_scale)
     two_var = 2.0 * spec.cov_scale
     log_norm = -0.5 * dim * np.log(2.0 * np.pi * spec.cov_scale)
-    comp_consts = [np.log(mass) + log_norm for mass in (spec.weight, 1.0 - spec.weight)]
+    comp_consts = np.array([[np.log(mass) + log_norm]
+                            for mass in (spec.weight, 1.0 - spec.weight)])
+    # The centers as (2, dim, 1), to subtract from a (dim, n) block.
+    means = spec.means[:, :, None]
     # Normalizer of the centered multivariate Student with identity scale.
     student_const = (gammaln((_STUDENT_DOF + dim) / 2.0) - gammaln(_STUDENT_DOF / 2.0)
                      - 0.5 * dim * np.log(_STUDENT_DOF * np.pi))
     block = _block_rows(dim)
 
     def block_log_weight(points):
-        c0, c1 = (const - ((points - mean) ** 2).sum(axis=1) / two_var
-                  for const, mean in zip(comp_consts, spec.means))
+        # Both components' squared distances in one coordinate-major buffer.
+        diff = np.subtract(np.ascontiguousarray(points.T), means)
+        np.multiply(diff, diff, out=diff)
+        c0, c1 = comp_consts - _coordinate_sums(diff) / two_var
         return _log_add_exp(c0, c1) - (student_const + _student_log_kernel(points))
 
     def log_weight(points):

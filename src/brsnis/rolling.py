@@ -148,8 +148,7 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
                 acc = acc + (state_w * state_f + seg_w[step] @ seg_f) / total
             u = us[step] * total
             if u > state_w:
-                pick = min(int(np.searchsorted(cum[step], u - state_w,
-                                               side="left")), n - 2)
+                pick = min(int(cum[step].searchsorted(u - state_w)), n - 2)
                 picked = perm[step * (n - 1) + pick]
                 state_lw, state_f = lw[picked], fv[picked]
                 state_w = float(seg_w[step, pick])

@@ -25,6 +25,9 @@ from brsnis import (CountingModel, DegenerateWeightsError, LogisticPosteriorSpec
 MEAN_ABS_T3 = 2.0 * np.sqrt(3.0) / np.pi  # E|X| for a t3 variable
 DOF = 3.0  # degrees of freedom of both models' Student proposal
 ROOT = Path(__file__).resolve().parents[1]
+# Dims of the mixture that reach each branch of ``_coordinate_sums``: below
+# 8 coordinates, 8 accumulators with and without a tail, and a split.
+MIXTURE_DIMS = [2, 7, 8, 9, 17, 130]
 
 
 def scipy_log_weight(spec, points):
@@ -185,7 +188,7 @@ class TestLogSumExpBitwise:
         assert np.array_equal(brsnis.model._log_add_exp(c0, c1), expected,
                               equal_nan=True)
 
-    @pytest.mark.parametrize("dim", [2, 7])
+    @pytest.mark.parametrize("dim", MIXTURE_DIMS)
     def test_log_weight_matches_scipy_formula(self, dim):
         spec = benchmark_mixture(dim)
         model = make_gaussian_mixture(spec)
@@ -251,6 +254,16 @@ class TestSpecialPorts:
                                    [-np.inf], [2.5], [-7.0]])
     def test_logsumexp_minus_inf_and_single_entries(self, a):
         assert _special.logsumexp(np.array(a)) == logsumexp(np.array(a))
+
+    @pytest.mark.parametrize("a", [[-np.inf, -np.inf, -np.inf], [1.0, np.inf, 2.0],
+                                   [1.0, np.nan, 2.0], [1e308, 1e308]],
+                             ids=["all-minus-inf", "plus-inf", "nan", "tie-at-1e308"])
+    def test_logsumexp_non_finite_and_overflow_edge(self, a):
+        """All -inf, +inf and NaN make the first formula non-finite and take
+        the fallback; a tie at 1e308 stays finite, since log(2) is far below
+        its ulp."""
+        assert np.array_equal(_special.logsumexp(np.array(a)), logsumexp(np.array(a)),
+                              equal_nan=True)
 
 
 class TestEstimateKappa:
@@ -698,18 +711,32 @@ class TestLogisticInPlace:
         assert peak < 3 * (self.BLOCK + 1) * spec.n_obs * 8 + 2 * n * 8
 
 
+def mixture_block_edges(dim):
+    """One block, a lone last row, and a last block of three rows."""
+    rows = brsnis.model._block_rows(dim)
+    return {rows, rows + 1, 2 * rows + 1, 2 * rows + 3}
+
+
+def mixture_block_cases():
+    """(n, dim) pairs: every dim runs a few fixed sizes and its own block
+    edges, and dims 2 and 7 each other's too."""
+    base = {1, 2, 4096, 4097, 8193, 10 ** 4}
+    cases = []
+    for dim in MIXTURE_DIMS:
+        edges = mixture_block_edges(2) | mixture_block_edges(7) if dim in (2, 7) \
+            else mixture_block_edges(dim)
+        cases += [(n, dim) for n in sorted(base | edges)]
+    return cases
+
+
 class TestMixtureRowBlocks:
     """The mixture's log weight runs in row blocks of ``_block_rows(dim)``
-    rows above one block and its proposal scales the normals in place, with
-    every bit unchanged.  Each dim runs both dims' block edges: one block,
-    a lone last row, and a last block of three rows."""
+    rows above one block, each block coordinate-major with numpy's pairwise
+    row sums, and its proposal scales the normals in place, with every bit
+    unchanged."""
 
-    @pytest.mark.parametrize("dim", [2, 7])
-    @pytest.mark.parametrize("n", sorted(
-        {1, 2, 4096, 4097, 8193, 10 ** 4}
-        | {n for rows in map(brsnis.model._block_rows, (2, 7))
-           for n in (rows, rows + 1, 2 * rows + 1, 2 * rows + 3)}))
-    def test_matches_unblocked_formulas(self, dim, n):
+    @pytest.mark.parametrize("n, dim", mixture_block_cases())
+    def test_matches_unblocked_formulas(self, n, dim):
         spec = benchmark_mixture(dim)
         model = make_gaussian_mixture(spec)
         points = model.propose(np.random.default_rng(n), n)
@@ -718,6 +745,33 @@ class TestMixtureRowBlocks:
         g = rng.chisquare(DOF, n)
         assert np.array_equal(points, z * np.sqrt(DOF / g)[:, None])
         assert np.array_equal(model.log_weight(points), scipy_log_weight(spec, points))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 300])
+    def test_coordinate_sums_match_row_sums(self, n):
+        """Each column of the coordinate-major sum has the bits of
+        ``sum(axis=1)`` on the same row, for both components stacked or one
+        alone, on signed terms spread over e^-15 to e^15."""
+        rng = np.random.default_rng(60 + n)
+        for dim in [*range(1, 140), 200, 257, 300, 513]:
+            rows = rng.choice([-1.0, 1.0], (2, n, dim)) * np.exp(rng.uniform(-15, 15, (2, n, dim)))
+            expected = rows.sum(axis=-1)
+            columns = np.ascontiguousarray(rows.transpose(0, 2, 1))
+            assert np.array_equal(brsnis.model._coordinate_sums(columns), expected), dim
+            assert np.array_equal(brsnis.model._coordinate_sums(columns[0]), expected[0]), dim
+
+    def test_propose_peak_memory(self):
+        """The Student scale is built in place: the normals and one n-vector,
+        below (dim + 1.5) n float64 at 10^5 rows of dim 7."""
+        dim, n = 7, 10 ** 5
+        model = make_gaussian_mixture(benchmark_mixture(dim))
+        rng = np.random.default_rng(61)
+        tracemalloc.start()
+        try:
+            model.propose(rng, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (dim + 1.5) * n * 8
 
 
 class TestSyntheticData:
