@@ -16,7 +16,7 @@ from .bounds import (BoundConstants, bound_constants, mixing_rate, mixing_time,
 from .diagnostics import (ReplicationSummary, coverage_check, fit_geometric_rate,
                           lag_covariance, replication_stats, sliced_wasserstein,
                           tv_predictive)
-from .isir import ChainTrace, RollingConfig, run_chain, run_chains
+from .isir import RollingConfig, run_chain, run_chains
 from .model import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec,
                     NewtonConvergenceError, TestFunction, UnboundedWeightError,
                     benchmark_mixture, estimate_kappa, estimate_omega,
@@ -32,7 +32,7 @@ from .snis import (DegenerateWeightsError, normalize_weights, snis_bias_bound,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundConstants", "CachedSampleBank", "ChainTrace", "CountingModel",
+    "BoundConstants", "CachedSampleBank", "CountingModel",
     "DegenerateWeightsError", "LogisticPosteriorSpec", "MixtureSpec",
     "ModelSpec", "NewtonConvergenceError", "ReplicationSummary",
     "RollingConfig", "TestFunction", "UnboundedWeightError",

@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .diagnostics import (fit_geometric_rate, replication_stats, sliced_wasserstein,
                           tv_predictive)
-from .isir import ChainTrace, RollingConfig, run_chain, run_chains
+from .isir import RollingConfig, run_chain, run_chains
 from .model import (CountingModel, LogisticPosteriorSpec, ModelSpec, TestFunction,
                     benchmark_mixture, estimate_kappa, estimate_omega,
                     logistic_predictive, make_gaussian_mixture,
@@ -84,7 +84,7 @@ def _set_override(config: dict, key: str, raw: str):
         target = target[part]
     try:
         target[parts[-1]] = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an int past Python's digit limit
         target[parts[-1]] = raw
 
 
@@ -93,7 +93,7 @@ def load_config(path: str, overrides: Optional[list[str]] = None,
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config document must be a JSON object")
@@ -148,13 +148,17 @@ CONFIG_KEYS = {
 def _checked(where: str, value, kind, least):
     """``value`` as a ``kind``, or ConfigError if it is not one or is below
     ``least``.  An int also takes an integral float; true/false is no number,
-    and a float must be finite.
+    and a float must be finite, so an int beyond the float range is none.
     A list is checked item by item, and must not be empty if it has a least."""
     if get_args(kind) and isinstance(value, list) and (value or least is None):
         return [_checked(where, item, get_args(kind)[0], least) for item in value]
     if (kind is int and type(value) is float and value.is_integer()
             or kind is float and type(value) is int):
-        value = kind(value)
+        try:
+            value = kind(value)
+        except OverflowError:
+            raise ConfigError(f"{where} must be float, not an int beyond its range") \
+                from None
     if isinstance(kind, tuple) and value in kind or (
             type(kind) is type and isinstance(value, kind) and type(value) is not bool
             and (kind is not float or np.isfinite(value))
@@ -285,33 +289,24 @@ def run_replication(estimator: str, built: BuiltModel, point: dict,
     """One estimate plus its instrumented proposal-draw count per generator of
     a chunk.  The chain estimators run the chunk's chains in lockstep, one
     per generator; snis and the bootstrap run one replication per generator."""
-    f = built.f
+    f, counter = built.f, CountingModel(built.model)
     cfg = None if estimator == "snis" else RollingConfig(point["N"], point["k"],
                                                          point["k0"])
-    if estimator not in _CHAIN_ESTIMATORS:
-        out = []
-        for rng in rngs:
-            counter = CountingModel(built.model)
-            if cfg is None:
-                draws = counter.propose(rng, point["M"])
-                estimate = snis_estimate(counter.log_weight(draws), f(draws))
-            else:
-                bank = build_sample_bank(counter, f, point["M"], rng)
-                estimate = bootstrap_br_snis(bank, cfg, point["rounds"], rng)
-            out.append((float(estimate), counter.proposal_draws))
-        return out
-    counter = CountingModel(built.model)
-    trace = run_chain(counter, f, cfg, rngs)
-    if estimator == "br-snis":
-        estimates = [rolling_estimate(ChainTrace(recycled, states), cfg.burn_in)
-                     for recycled, states in zip(trace.recycled_estimates, trace.states)]
+    if estimator == "snis":
+        estimates = [snis_estimate(counter.log_weight(draws), f(draws))
+                     for draws in (counter.propose(rng, point["M"]) for rng in rngs)]
+    elif estimator == "br-snis-bootstrap":
+        estimates = [bootstrap_br_snis(build_sample_bank(counter, f, point["M"], rng),
+                                       cfg, point["rounds"], rng) for rng in rngs]
+    elif estimator == "br-snis":
+        estimates = rolling_estimate(run_chain(counter, f, cfg, rngs)[0], cfg.burn_in)
     else:
-        kept = trace.states[:, cfg.burn_in + 1:]
+        kept = run_chain(counter, f, cfg, rngs)[1][:, cfg.burn_in + 1:]
         estimates = np.mean(f(kept.reshape(-1, kept.shape[-1])).reshape(len(rngs), -1),
                             axis=1)
     draws, uneven = divmod(counter.proposal_draws, len(rngs))
     if uneven:
-        raise RuntimeError("the chains of a chunk drew unequal proposal counts")
+        raise RuntimeError("the replications of a chunk drew unequal proposal counts")
     return [(float(estimate), draws) for estimate in estimates]
 
 
@@ -479,9 +474,9 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
     summary = {"per_n": []}
     for gi, n in enumerate(section["N"]):
         def one(rng):
-            batch = run_chains(model, built.f, n, k_max, model.propose(rng, chains), rng)
+            _, states = run_chains(model, built.f, n, k_max, model.propose(rng, chains), rng)
             reference = model.target_sample(rng, chains)
-            return [sliced_wasserstein(batch.states[:, k], reference, section["projections"],
+            return [sliced_wasserstein(states[:, k], reference, section["projections"],
                                        _stream_rng(seed, _REFERENCE_STREAM))
                     for k in range(k_max + 1)]
 

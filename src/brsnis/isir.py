@@ -15,9 +15,9 @@ gather.  ``test_agrees_with_sequential_runner`` checks this against
 ``isir_step`` in ``tests/oracles.py``, a step-by-step reference that draws a
 uniform slot.  ``run_chain`` runs a batch of replications: one chain per
 generator, each started from one proposal draw on its own generator, so a
-chain's stream does not depend on the batch it runs in.  ``RollingConfig``
-holds the schedule of the chain estimators, and ``ChainTrace`` the recycled
-estimates and states of a run.
+chain's stream does not depend on the batch it runs in.  Both return the
+tuple ``(recycled, states)``, each with a leading chain axis, and
+``RollingConfig`` holds the schedule of the chain estimators.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .snis import snis_estimate  # noqa: F401  patched here by perfbench/tracer.
 class RollingConfig:
     """Pool size N, iteration count k and burn-in k0 (0 <= k0 < k): the
     schedule of every chain estimator.  ``run_chain`` reads N and k for
-    every chain of its batch; its caller applies the burn-in to each chain,
-    and ``bootstrap_br_snis`` reads all three."""
+    every chain of its batch, ``rolling_estimate`` applies the burn-in to
+    the whole batch, and ``bootstrap_br_snis`` reads all three."""
 
     n_candidates: int
     n_iters: int
@@ -52,19 +52,10 @@ class RollingConfig:
             raise ValueError("burn_in must lie in [0, n_iters)")
 
 
-@dataclass(frozen=True)
-class ChainTrace:
-    """The per-iteration recycled estimates and the states Y_0..Y_k.  Both
-    chain runners put a leading chain axis on each; ``rolling_estimate``
-    reads the trace of one chain, without it."""
-
-    recycled_estimates: np.ndarray
-    states: np.ndarray
-
-
 def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: int,
                starts: np.ndarray,
-               rng: np.random.Generator | Sequence[np.random.Generator]) -> ChainTrace:
+               rng: np.random.Generator | Sequence[np.random.Generator]
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Run one chain per row of ``starts`` in lockstep.
 
     ``rng`` is one generator shared by all chains, or one generator per
@@ -72,8 +63,9 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
     proposal draws, then one selection uniform per chain; chain c's own
     generator gives its N - 1 draws, then its one uniform.  Either way one
     ``log_weight`` and one ``f`` call take all chains' draws, and ``starts``
-    is left unmodified.  The trace has recycled estimates
-    ``(chains, iters[, q])`` and states ``(chains, iters + 1, dim)``.
+    is left unmodified.  Returns the recycled estimates
+    ``(chains, iters[, q])`` and the states Y_0..Y_k
+    ``(chains, iters + 1, dim)``.
     """
     if n_candidates < 2 or n_iters < 1:
         raise ValueError("a chain needs n_candidates >= 2 and n_iters >= 1")
@@ -113,15 +105,14 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
         state_fv[moved] = fv[moved, cols]
         states[:, step + 1] = states[:, step]
         states[moved, step + 1] = fresh.reshape(n_chains, m, model.dim)[moved, cols]
-    return ChainTrace(recycled_estimates=recycled[:, :, 0] if f0.ndim == 1 else recycled,
-                      states=states)
+    return recycled[:, :, 0] if f0.ndim == 1 else recycled, states
 
 
 def run_chain(model: ModelSpec, f: TestFunction, cfg: RollingConfig,
-              rngs: Sequence[np.random.Generator]) -> ChainTrace:
+              rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Run one chain per generator, each started from ``model.propose(g, 1)``
     on its own generator ``g``: ``run_chains`` with one generator per chain.
     Chain c's stream is that of a lone chain on ``rngs[c]``, whatever the
-    batch; recycled_estimates[c, l] is chain c's pool-l SNIS estimate."""
+    batch; ``recycled[c, l]`` is chain c's pool-l SNIS estimate."""
     starts = np.concatenate([model.propose(g, 1) for g in rngs])
     return run_chains(model, f, cfg.n_candidates, cfg.n_iters, starts, rngs)

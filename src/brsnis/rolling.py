@@ -1,13 +1,13 @@
 """Burn-in averaged estimators over recycled pool estimates, plus the
 sample-reusing bootstrap wrapper.
 
-The rolling estimator averages the per-iteration recycled estimates of a
-chain after discarding a burn-in prefix.  The bootstrap wrapper re-runs the
-selection dynamics over random permutations of one cached bank of
-(log weight, f value) pairs, so after the bank is built it never touches the
-model again; the chain state carries over from round to round, which lets
-the selection dynamics keep mixing across rounds while each round
-contributes its final-window average.
+The rolling estimator averages the per-iteration recycled estimates of
+every chain of a batch after discarding a burn-in prefix.  The bootstrap
+wrapper re-runs the selection dynamics over random permutations of one
+cached bank of (log weight, f value) pairs, so after the bank is built it
+never touches the model again; the chain state carries over from round to
+round, which lets the selection dynamics keep mixing across rounds while
+each round contributes its final-window average.
 """
 
 from __future__ import annotations
@@ -16,21 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .isir import ChainTrace, RollingConfig
+from .isir import RollingConfig
 from .model import ModelSpec, TestFunction
 from .snis import _check_top_log_weights, normalize_weights
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
-def rolling_estimate(trace: ChainTrace, burn_in: int) -> float | np.ndarray:
-    """Mean of the recycled estimates after the burn-in prefix; one value
-    per column for a q-column test function."""
-    recycled = trace.recycled_estimates
-    if not 0 <= burn_in < len(recycled):
+def rolling_estimate(recycled: np.ndarray, burn_in: int) -> np.ndarray:
+    """Mean of each chain's recycled estimates after the burn-in prefix:
+    ``(chains,)`` from ``(chains, iters)``, ``(chains, q)`` from the
+    ``(chains, iters, q)`` of a q-column test function."""
+    if recycled.ndim not in (2, 3):
+        raise ValueError("recycled estimates need a leading chain axis")
+    if not 0 <= burn_in < recycled.shape[1]:
         raise ValueError("burn_in must lie in [0, number of iterations)")
-    value = np.mean(recycled[burn_in:], axis=0)
-    return float(value) if value.ndim == 0 else value
+    return recycled[:, burn_in:].mean(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from brsnis import (benchmark_mixture, bootstrap_br_snis, bound_constants,
                     estimate_kappa, estimate_omega, fit_geometric_rate,
                     make_gaussian_mixture,
                     make_logistic_posterior, mixture_test_function,
-                    mixture_truth, pool_bias_bound, replication_stats,
-                    rolling_hpd_bound, run_chains, sliced_wasserstein,
+                    mixture_truth, pool_bias_bound, pool_mse_bound,
+                    replication_stats, rolling_bias_bound, rolling_estimate,
+                    rolling_hpd_bound, rolling_mse_bound, run_chains, sliced_wasserstein,
                     snis_bias_bound, snis_estimate, snis_hpd_bound,
                     snis_mse_bound, synthetic_logistic_data)
 from brsnis import (CachedSampleBank, LogisticPosteriorSpec, ModelSpec,
@@ -94,8 +95,7 @@ def cold_chain_runs(mixture2):
     runs = {}
     for tag, n in enumerate((8, 32, 128)):
         rng = rng_for(200 + tag)
-        batch = run_chains(model, f, n, 20, model.propose(rng, 10 ** 4), rng)
-        runs[n] = batch.recycled_estimates
+        runs[n], _ = run_chains(model, f, n, 20, model.propose(rng, 10 ** 4), rng)
     return runs
 
 
@@ -103,8 +103,8 @@ class TestStationaryUnbiasedness:
     def test_single_step_recycled_estimates_center_on_truth(self, mixture2):
         _, model, f, truth = mixture2
         rng = rng_for(1)
-        batch = run_chains(model, f, 32, 1, model.target_sample(rng, 10 ** 5), rng)
-        values = batch.recycled_estimates[:, 0]
+        recycled, _ = run_chains(model, f, 32, 1, model.target_sample(rng, 10 ** 5), rng)
+        values = recycled[:, 0]
         se = values.std(ddof=1) / np.sqrt(len(values))
         gap = abs(values.mean() - truth)
         report("stationary-start unbiasedness",
@@ -151,6 +151,45 @@ class TestBiasDecayRate:
                slope <= log_rate,
                f"fitted slope {slope:.3f} vs log rate {log_rate:.3f} "
                f"({limit} usable iterations)")
+
+
+class TestPoolMseAndRollingBounds:
+    def test_sampled_moments_under_closed_form_bounds(self, mixture2, constants2,
+                                                      cold_chain_runs):
+        """The cold-chain runs of the bias check, reused: for N in {8, 32, 128}
+        each step's MSE stays under ``pool_mse_bound`` sup|f|^2, and the
+        rolling estimate at k0 in {0, 5, 10} under the rolling bias bound
+        (times sup|f|) and MSE bound (times its square), each plus 3
+        standard errors.  At N = 128 with k0 >= 5 the rolling bias bound is
+        at most 6.7e-5, below the sampling resolution of 10^4 chains, so
+        there the bias check holds by its noise allowance alone."""
+        _, _, f, truth = mixture2
+        omega, kappa = constants2
+        sup = f.sup_bound
+        ok = True
+        details = []
+        for n, recycled in cold_chain_runs.items():
+            consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), n)
+            k, chains = recycled.shape[1], recycled.shape[0]
+            sq = (recycled - truth) ** 2
+            excess = sq.mean(axis=0) - (pool_mse_bound(consts) * sup ** 2
+                                        + 3.0 * sq.std(axis=0, ddof=1) / np.sqrt(chains))
+            ok = ok and (excess <= 0).all()
+            details.append(f"N={n}: worst pool mse excess {excess.max():.2e}")
+            for k0 in (0, 5, 10):
+                values = rolling_estimate(recycled, k0)
+                bias = abs(values.mean() - truth)
+                bias_se = values.std(ddof=1) / np.sqrt(chains)
+                sq = (values - truth) ** 2
+                mse, mse_se = sq.mean(), sq.std(ddof=1) / np.sqrt(chains)
+                bias_bound = rolling_bias_bound(consts, k0, k) * sup
+                mse_bound = rolling_mse_bound(consts, k0, k) * sup ** 2
+                ok = (ok and bias <= bias_bound + 3.0 * bias_se
+                      and mse <= mse_bound + 3.0 * mse_se)
+                details.append(f"k0={k0}: |bias|={bias:.2e}<={bias_bound:.2g}"
+                               f"+{3 * bias_se:.1e}, mse={mse:.2e}<={mse_bound:.3g}")
+        report("pool MSE and rolling bounds (N in {8,32,128}, k=20)", ok,
+               "; ".join(details))
 
 
 class TestFixedBudgetComparison:
@@ -256,8 +295,8 @@ class TestHighProbabilityCoverage:
         omega, kappa = constants2
         n, k, k0, delta = 32, 20, 10, 0.1
         rng = rng_for(6)
-        batch = run_chains(model, f, n, k, model.propose(rng, 10 ** 4), rng)
-        rolling = batch.recycled_estimates[:, k0:].mean(axis=1)
+        recycled, _ = run_chains(model, f, n, k, model.propose(rng, 10 ** 4), rng)
+        rolling = rolling_estimate(recycled, k0)
         consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), n)
         bound = rolling_hpd_bound(consts, delta, k0, k) * f.sup_bound
         rolling_cov = coverage_check(rolling, truth, bound, delta)
@@ -343,8 +382,8 @@ class TestKernelInvariants:
         unit = TestFunction(fn=lambda pts: np.ones(len(pts)), sup_bound=1.0)
         n_flat, steps = 16, 10 ** 5
         rng = rng_for(10)
-        batch = run_chains(flat, unit, n_flat, 1, flat.propose(rng, steps), rng)
-        kept = np.all(batch.states[:, 1] == batch.states[:, 0], axis=1)
+        _, states = run_chains(flat, unit, n_flat, 1, flat.propose(rng, steps), rng)
+        kept = np.all(states[:, 1] == states[:, 0], axis=1)
         p_keep = 1.0 / n_flat
         retention_gap = abs(kept.mean() - p_keep)
         retention_se = np.sqrt(p_keep * (1 - p_keep) / steps)
@@ -414,14 +453,14 @@ class TestSlicedWassersteinMixing:
             rng = rng_for(300 + tag)
             sw = np.empty((groups, k_max + 1))
             for g in range(groups):
-                batch = run_chains(model, f, n, k_max, model.propose(rng, chains), rng)
+                _, states = run_chains(model, f, n, k_max, model.propose(rng, chains), rng)
                 reference = model.target_sample(rng, chains)
                 for k in range(k_max + 1):
                     # One shared projection set for every slice comparison:
                     # the distance floor then cancels across k and N.
                     proj_rng = np.random.default_rng(
                         np.random.SeedSequence([ACCEPTANCE_SEED, 777]))
-                    sw[g, k] = sliced_wasserstein(batch.states[:, k], reference,
+                    sw[g, k] = sliced_wasserstein(states[:, k], reference,
                                                   100, proj_rng)
             curves[n] = (sw.mean(axis=0),
                          sw.std(axis=0, ddof=1) / np.sqrt(groups),

@@ -151,8 +151,11 @@ class TestBoundsCommand:
         ({"omega": float("inf")}, [], "omega must be float >= 1.0, not inf"),
         ({"kappa": float("inf")}, [], "kappa must be float >= 1.0, not inf"),
         ({}, ["--override", "schema=7"], "config schema field must equal 1"),
+        ({"omega": 10 ** 400}, [], "omega must be float, not an int beyond its range"),
+        ({}, ["--override", "omega=" + "1" * 5000], "omega must be float >= 1.0"),
     ], ids=["omega-below-one", "kappa-below-one", "out-flag", "no-threads",
-            "one-estimate-draw", "infinite-omega", "infinite-kappa", "schema-override"])
+            "one-estimate-draw", "infinite-omega", "infinite-kappa", "schema-override",
+            "omega-beyond-float", "omega-beyond-int-digits"])
     def test_config_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                             constants, argv, message):
         """omega and kappa are at least 1 by definition, bounds writes no file,
@@ -160,8 +163,9 @@ class TestBoundsCommand:
         from the bound, omega 0.2 and --threads 0 ran, --out was read by
         nothing and one estimate draw exited 3 after the model was built.
         An infinite kappa printed ``Infinity``, which is no JSON, an
-        infinite omega exited 3 from the mixing rate, and a schema set by
-        ``--override`` was never checked."""
+        infinite omega exited 3 from the mixing rate, a schema set by
+        ``--override`` was never checked, and an integer omega too large for
+        a float, or with more digits than Python parses, exited 3."""
         forbid_sampling(monkeypatch)
         config = write_config(tmp_path, {
             "schema": 1, "model": {"name": "gaussian-mixture", "dim": 2},

@@ -84,9 +84,8 @@ class TestLagCovariance:
         kappa = estimate_kappa(log_weights)
         omega = estimate_omega(model, log_weights, 8, rng)
         chains = 2 * 10 ** 4
-        batch = run_chains(model, f, 16, 6, model.propose(rng, chains), rng)
+        rec, _ = run_chains(model, f, 16, 6, model.propose(rng, chains), rng)
         consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), 16)
-        rec = batch.recycled_estimates
         for lag in (1, 2):
             value = lag_covariance(rec, truth, lag=lag, base_index=3)
             prod = (rec[:, 3] - truth) * (rec[:, 3 + lag] - truth)

@@ -161,12 +161,13 @@ class TestRunChain:
         states match exactly, each recycled value is bitwise the runner's pool
         SNIS (shift by the pool max, state term plus fresh sum, over the
         total) and within rel 1e-12 of ``snis_estimate``."""
-        trace = run_chain(model, f, RollingConfig(n, k, 0), [np.random.default_rng(seed)])
+        recycled, states = run_chain(model, f, RollingConfig(n, k, 0),
+                                     [np.random.default_rng(seed)])
         rng = np.random.default_rng(seed)
         y = model.propose(rng, 1)[0]
         y_lw, y_f = model.log_weight(y[None, :])[0], f(y[None, :])[0]
-        for step, level in enumerate(trace.recycled_estimates[0]):
-            np.testing.assert_array_equal(trace.states[0, step], y)
+        for step, level in enumerate(recycled[0]):
+            np.testing.assert_array_equal(states[0, step], y)
             fresh = model.propose(rng, n - 1)
             u, lw, fv = rng.random(), model.log_weight(fresh), f(fresh)
             assert level == pytest.approx(snis_estimate(
@@ -176,8 +177,8 @@ class TestRunChain:
             j = min(int(np.searchsorted(np.cumsum(w), u * (w[1:].sum() + w[0]))), n - 1)
             if j > 0:
                 y, y_lw, y_f = fresh[j - 1], lw[j - 1], fv[j - 1]
-        np.testing.assert_array_equal(trace.states[0, k], y)
-        return trace
+        np.testing.assert_array_equal(states[0, k], y)
+        return states[0]
 
     def test_single_iteration_matches_manual_step(self, mixture2):
         _, model, f, _ = mixture2
@@ -190,8 +191,8 @@ class TestRunChain:
     def test_previous_state_survives_in_every_pool(self, mixture2):
         """The replay keeps the state in every pool; the chain stays at some steps."""
         _, model, f, _ = mixture2
-        trace = self.assert_matches_hand_replay(model, f, n=5, k=12, seed=8)
-        stays = np.all(trace.states[0, 1:] == trace.states[0, :-1], axis=1)
+        states = self.assert_matches_hand_replay(model, f, n=5, k=12, seed=8)
+        stays = np.all(states[1:] == states[:-1], axis=1)
         assert stays.any() and not stays.all()
 
     def test_vector_test_function_columns(self, mixture2):
@@ -200,9 +201,8 @@ class TestRunChain:
         f2 = TestFunction(fn=lambda pts: np.column_stack([f(pts), np.ones(len(pts))]),
                           sup_bound=1.0)
         for run in (lambda g: run_chain(model, g, RollingConfig(9, 5, 0),
-                                        [np.random.default_rng(21)]).recycled_estimates[0],
-                    lambda g: cold_chains(model, g, 9, 5, 3,
-                                          np.random.default_rng(21)).recycled_estimates):
+                                        [np.random.default_rng(21)])[0][0],
+                    lambda g: cold_chains(model, g, 9, 5, 3, np.random.default_rng(21))[0]):
             scalar, vector = run(f), run(f2)
             assert vector.shape == scalar.shape + (2,)
             np.testing.assert_allclose(vector[..., 0], scalar, rtol=1e-12, atol=1e-15)
@@ -239,12 +239,11 @@ class TestRunChain:
         """Bit for bit ``run_chains`` with one chain started from
         ``model.propose(rng, 1)`` on the same generator."""
         _, model, f, _ = mixture2
-        trace = run_chain(model, f, RollingConfig(7, 9, 0), [np.random.default_rng(24)])
+        chain = run_chain(model, f, RollingConfig(7, 9, 0), [np.random.default_rng(24)])
         rng = np.random.default_rng(24)
         batch = run_chains(model, f, 7, 9, model.propose(rng, 1), rng)
-        np.testing.assert_array_equal(trace.recycled_estimates[0],
-                                      batch.recycled_estimates[0])
-        np.testing.assert_array_equal(trace.states[0], batch.states[0])
+        for ours, theirs in zip(chain, batch):
+            np.testing.assert_array_equal(ours, theirs)
 
     def test_explicit_and_target_starts(self, mixture2):
         """``run_chains`` begins at the starts it is given, explicit points or
@@ -256,10 +255,10 @@ class TestRunChain:
         for starts in (np.array([[0.5, 0.5], [-1.0, 2.0], [3.0, -3.0]]),
                        model.target_sample(rng, 3)):
             given = starts.copy()
-            batch = run_chains(model, first, 5, 6, starts, rng)
+            _, states = run_chains(model, first, 5, 6, starts, rng)
             np.testing.assert_array_equal(starts, given)
-            np.testing.assert_array_equal(batch.states[:, 0], given)
-            assert (batch.states[:, -1] != given).any()
+            np.testing.assert_array_equal(states[:, 0], given)
+            assert (states[:, -1] != given).any()
 
     def test_config_validation(self, mixture2):
         """``run_chains`` rejects a pool of one candidate and zero iterations;
@@ -276,8 +275,8 @@ class TestRunChains:
         the analytic truth."""
         _, model, f, truth = mixture2
         rng = np.random.default_rng(12)
-        batch = run_chains(model, f, 32, 1, model.target_sample(rng, 10 ** 4), rng)
-        est = batch.recycled_estimates[:, 0]
+        recycled, _ = run_chains(model, f, 32, 1, model.target_sample(rng, 10 ** 4), rng)
+        est = recycled[:, 0]
         se = est.std(ddof=1) / np.sqrt(len(est))
         assert abs(est.mean() - truth) <= 4.0 * se
 
@@ -297,7 +296,7 @@ class TestRunChains:
     @pytest.mark.parametrize("chains", [1, 2, 5])
     def test_per_chain_generators_give_lone_chain_streams(self, mixture2, logistic,
                                                           which, n, chains):
-        """With one generator per chain, chain c's trace is bitwise what
+        """With one generator per chain, chain c's run is bitwise what
         ``run_chains`` gives for chain c alone on its own generator."""
         model, f = mixture2[1:3] if which == "mixture" else logistic
         starts = model.propose(np.random.default_rng(30), chains)
@@ -305,9 +304,8 @@ class TestRunChains:
         batch = run_chains(model, f, n, 6, starts, rngs)
         for c in range(chains):
             lone = run_chains(model, f, n, 6, starts[c:c + 1], np.random.default_rng([31, c]))
-            np.testing.assert_array_equal(batch.recycled_estimates[c],
-                                          lone.recycled_estimates[0])
-            np.testing.assert_array_equal(batch.states[c], lone.states[0])
+            for ours, theirs in zip(batch, lone):
+                np.testing.assert_array_equal(ours[c], theirs[0])
 
     def test_one_generator_per_chain_required(self, mixture2):
         _, model, f, _ = mixture2
@@ -320,7 +318,7 @@ class TestRunChains:
         same law."""
         _, model, f, _ = mixture2
         n, k, reps = 8, 3, 1500
-        batch = cold_chains(model, f, n, k, reps, np.random.default_rng(13))
+        recycled, _ = cold_chains(model, f, n, k, reps, np.random.default_rng(13))
         rng = np.random.default_rng(14)
         seq = np.empty((reps, k))
         for rep in range(reps):
@@ -329,7 +327,7 @@ class TestRunChains:
                 y, pool = isir_step(model, y, f, n, rng)
                 seq[rep, step] = snis_estimate(pool.log_weights, pool.f_values)
         for step in range(k):
-            a, b = batch.recycled_estimates[:, step], seq[:, step]
+            a, b = recycled[:, step], seq[:, step]
             se = np.sqrt(a.var(ddof=1) / reps + b.var(ddof=1) / reps)
             assert abs(a.mean() - b.mean()) <= 4.0 * se
 
@@ -339,8 +337,8 @@ class TestRunChains:
         spec, model, f, _ = mixture2
         rng = np.random.default_rng(15)
         chains = 3000
-        batch = run_chains(model, f, 16, 1, model.target_sample(rng, chains), rng)
-        moved = batch.states[:, 1]
+        _, states = run_chains(model, f, 16, 1, model.target_sample(rng, chains), rng)
+        moved = states[:, 1]
         reference = model.target_sample(rng, chains)
         sw_chain = sliced_wasserstein(moved, reference, 64,
                                       np.random.default_rng(100))
@@ -364,7 +362,7 @@ class TestRunChains:
         if finite == "none" or isinstance(slow, str):
             assert (fast, slow) == ("degenerate", "degenerate")
         else:
-            np.testing.assert_allclose(fast.recycled_estimates, slow,
+            np.testing.assert_allclose(fast[0], slow,
                                        rtol=1e-12, atol=1e-12)
 
 

@@ -6,16 +6,10 @@ from conftest import log_weights, outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brsnis import (CachedSampleBank, ChainTrace, CountingModel,
+from brsnis import (CachedSampleBank, CountingModel,
                     DegenerateWeightsError, RollingConfig, TestFunction,
                     bootstrap_br_snis, build_sample_bank, normalize_weights,
                     rolling_estimate, run_chain, run_chains)
-
-
-def make_trace(recycled):
-    recycled = np.asarray(recycled, dtype=float)
-    states = np.zeros((len(recycled) + 1, 1))
-    return ChainTrace(states=states, recycled_estimates=recycled)
 
 
 def flat_bank(log_weights, f_values, initial_log_weight, initial_f_value):
@@ -70,16 +64,34 @@ def spread_banks(draw):
 
 class TestRollingEstimate:
     def test_no_burn_in_is_plain_mean(self):
-        assert rolling_estimate(make_trace([1.0, 2.0, 3.0]), 0) == pytest.approx(2.0)
+        np.testing.assert_allclose(rolling_estimate(np.array([[1.0, 2.0, 3.0]]), 0), [2.0])
 
     def test_full_burn_in_keeps_last_value(self):
-        assert rolling_estimate(make_trace([1.0, 2.0, 3.0]), 2) == pytest.approx(3.0)
+        np.testing.assert_allclose(rolling_estimate(np.array([[1.0, 2.0, 3.0]]), 2), [3.0])
 
     def test_out_of_range(self):
+        """The burn-in is checked against the iteration axis, not the chain
+        count: two chains of three iterations take a burn-in of 2.  One
+        chain's estimates without the chain axis are rejected."""
         with pytest.raises(ValueError):
-            rolling_estimate(make_trace([1.0, 2.0]), 2)
+            rolling_estimate(np.array([[1.0, 2.0]]), 2)
         with pytest.raises(ValueError):
-            rolling_estimate(make_trace([1.0, 2.0]), -1)
+            rolling_estimate(np.array([[1.0, 2.0]]), -1)
+        np.testing.assert_array_equal(rolling_estimate(np.ones((2, 3)), 2), [1.0, 1.0])
+        with pytest.raises(ValueError, match="leading chain axis"):
+            rolling_estimate(np.array([1.0, 2.0, 3.0]), 0)
+
+    @pytest.mark.parametrize("tail", [(), (3,)], ids=["scalar", "three-columns"])
+    @pytest.mark.parametrize("chains, iters", [(1, 1), (5, 7), (64, 1000)])
+    def test_batch_is_each_chain_alone(self, chains, iters, tail):
+        """Each chain's value, per column for q columns, is bitwise the mean
+        of that chain's estimates past the burn-in taken on its own."""
+        recycled = np.random.default_rng(chains).standard_normal((chains, iters) + tail)
+        burn_in = iters // 3
+        batch = rolling_estimate(recycled, burn_in)
+        assert batch.shape == (chains,) + tail
+        for c in range(chains):
+            np.testing.assert_array_equal(batch[c], np.mean(recycled[c, burn_in:], axis=0))
 
     def test_config_derived_quantities(self):
         with pytest.raises(ValueError):
@@ -94,16 +106,15 @@ class TestBrSnis:
         _, model, f, _ = mixture2
         counter = CountingModel(model)
         n, k = 7, 5
-        trace = run_chain(counter, f, RollingConfig(n, k, 2), [np.random.default_rng(0)])
-        rolling_estimate(ChainTrace(trace.recycled_estimates[0], trace.states[0]), 2)
+        recycled, _ = run_chain(counter, f, RollingConfig(n, k, 2), [np.random.default_rng(0)])
+        rolling_estimate(recycled, 2)
         assert counter.proposal_draws == (n - 1) * k + 1
 
     def test_bounded_by_sup_bound(self, mixture2):
         _, model, f, _ = mixture2
-        for seed in range(5):
-            trace = run_chain(model, f, RollingConfig(5, 6, 0), [np.random.default_rng(seed)])
-            assert abs(rolling_estimate(ChainTrace(trace.recycled_estimates[0],
-                                                   trace.states[0]), 3)) <= f.sup_bound
+        rngs = [np.random.default_rng(seed) for seed in range(5)]
+        recycled, _ = run_chain(model, f, RollingConfig(5, 6, 0), rngs)
+        assert (abs(rolling_estimate(recycled, 3)) <= f.sup_bound).all()
 
 
 class TestSampleBank:
@@ -303,8 +314,8 @@ class TestRollingBounds:
         kappa = estimate_kappa(log_weights)
         omega = estimate_omega(model, log_weights, 8, rng)
         n, k, k0, chains = 17, 16, 8, 5000
-        batch = run_chains(model, f, n, k, model.propose(rng, chains), rng)
-        values = batch.recycled_estimates[:, k0:].mean(axis=1)
+        recycled, _ = run_chains(model, f, n, k, model.propose(rng, chains), rng)
+        values = rolling_estimate(recycled, k0)
         consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), n)
         bias = abs(values.mean() - truth)
         bias_se = values.std(ddof=1) / np.sqrt(chains)
@@ -320,12 +331,11 @@ class TestBiasTrend:
         _, model, f, truth = mixture2
         n, k, chains = 16, 12, 10 ** 4
         rng = np.random.default_rng(20)
-        batch = run_chains(model, f, n, k, model.propose(rng, chains), rng)
-        rec = batch.recycled_estimates
+        recycled, _ = run_chains(model, f, n, k, model.propose(rng, chains), rng)
         biases = {}
         ses = {}
         for burn in (0, k // 2, k - 1):
-            values = rec[:, burn:].mean(axis=1)
+            values = rolling_estimate(recycled, burn)
             biases[burn] = abs(values.mean() - truth)
             ses[burn] = values.std(ddof=1) / np.sqrt(chains)
         assert biases[0] >= biases[k // 2] - 2.0 * (ses[0] + ses[k // 2])
