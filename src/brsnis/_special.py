@@ -1,18 +1,15 @@
-"""The three special functions the package needs, ported from scipy 1.17.
+"""``gammaln``, the one special function the package ports from scipy 1.17.
 
-``gammaln`` and ``ndtr`` repeat the cephes routines scipy evaluates, and
-``logsumexp`` the arithmetic of ``scipy.special.logsumexp`` on a 1-D array,
-step for step, so each returns scipy's bits.  Porting them keeps scipy, whose
-import costs more than building a model, off every command's path.  The two
-cephes ports take Python floats and use ``math``'s libm ``exp`` and ``log``,
-as the compiled routines do; ``logsumexp`` uses numpy as scipy does.
+It repeats the cephes ``lgam`` routine scipy evaluates, step for step, on
+Python floats with ``math``'s libm ``exp`` and ``log``, as the compiled
+routine does, so it returns scipy's bits and the Student normalizer keeps
+them.  Porting it keeps scipy, whose import costs more than building a model,
+off every command's path.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def _polevl(x: float, coef: tuple[float, ...]) -> float:
@@ -74,88 +71,3 @@ def gammaln(x: float) -> float:
         return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
                     + 0.0833333333333333333333) / x
     return q + _polevl(p, _LGAM_A) / x
-
-
-# cephes ndtr.c: erfc on [1, 8) (P/Q) and from 8 (R/S), erf below 1 (T/U).
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-           7.46321056442269912687E0, 4.86371970985681366614E1,
-           1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3,
-           5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
-           3.54937778887819891062E2, 9.75708501743205489753E2,
-           1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
-           5.01905042251180477414E0, 6.16021097993053585195E0,
-           7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
-           1.20489539808096656605E1, 1.70814450747565897222E1,
-           9.60896809063285878198E0, 3.36907645100081516050E0)
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-          2.23200534594684319226E3, 7.00332514112805075473E3,
-          5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
-          4.59432382970980127987E3, 2.26290000613890934246E4,
-          4.92673942608635921086E4)
-_MAXLOG = 7.09782712893383996843E2
-_SQRT1_2 = 0.707106781186547524400844362104849039
-
-
-def _erf(x: float) -> float:
-    """cephes ``erf`` for |x| <= 1, the only range ``ndtr`` reaches it in."""
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
-
-
-def _erfc(a: float) -> float:
-    """cephes ``erfc`` for a >= 1/sqrt(2), the only range ``ndtr`` reaches."""
-    if a < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
-    if z < -_MAXLOG:
-        return 0.0
-    z = math.exp(z)
-    if a < 8.0:
-        p, q = _polevl(a, _ERFC_P), _p1evl(a, _ERFC_Q)
-    else:
-        p, q = _polevl(a, _ERFC_R), _p1evl(a, _ERFC_S)
-    return (z * p) / q
-
-
-def ndtr(a: float) -> float:
-    """Standard normal CDF, scipy's ``ndtr`` bit for bit."""
-    x = float(a) * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
-
-
-def logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) over a 1-D array, scipy's ``logsumexp`` bit for bit.
-
-    The maximum's m tied entries are taken out of the sum: with s the sum of
-    exp(a - max) over the rest, divided by m when non-zero, the result is
-    log1p(s) + log(m) + max.  A result that is not finite (an infinite or
-    NaN maximum, or an overflow) is log(sum(exp(a))) instead, as in scipy.
-    Scalars stay one-element arrays so numpy runs scipy's array loops.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    top = a.max(keepdims=True)
-    tied = a == top
-    m = np.full(1, np.count_nonzero(tied), dtype=float)
-    # An all -inf input or a +inf entry makes a NaN here; the fallback redoes it.
-    with np.errstate(invalid="ignore"):
-        e = a - top
-        np.exp(e, out=e)
-        e[tied] = 0.0
-        s = e.sum(keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        with np.errstate(divide="ignore"):
-            out = np.log1p(s) + np.log(m) + top
-    if not np.isfinite(out[0]):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.log(np.exp(a).sum(keepdims=True))
-    return out[0]

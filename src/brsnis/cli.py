@@ -258,8 +258,14 @@ def resolve_constants(config: dict, built: BuiltModel) -> tuple[float, float, bo
 
 def _normalize_grid_point(command: str, point: dict) -> dict:
     """A grid entry of ``bounds`` or of an estimator, checked; a chain
-    estimator's entry gets its k, k0, M and rounds filled in."""
+    estimator's entry gets its k, k0, M and rounds filled in.  A key that the
+    command never reads is a ConfigError: snis reads only M, the bootstrap
+    every key, and ``bounds`` and the other estimators all but rounds."""
     out = read_section("grid", point)
+    unread = set(point) - {"snis": {"M"}, "br-snis-bootstrap": set(out)}.get(
+        command, {"N", "k", "k0", "M"})
+    if unread:
+        raise ConfigError(f"{command} grid entries do not read {sorted(unread)}")
     needed = "M" if command == "snis" else "N"
     if out[needed] is None:
         raise ConfigError(f"{command} grid entries need {needed}")
@@ -469,9 +475,9 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
     seed, k_max, groups = config["seed"], section["k_max"], section["groups"]
     model, chains = built.model, section["chains"]
     # A supplied kappa leaves only omega to estimate, from the pass `bounds` draws.
-    omega, _, _ = resolve_constants({**config, "kappa": 1.0}, built)
+    omega, _, estimated = resolve_constants({**config, "kappa": 1.0}, built)
     rows = []
-    summary = {"per_n": []}
+    summary = {"omega": omega, "omega_estimated": estimated, "per_n": []}
     for gi, n in enumerate(section["N"]):
         def one(rng):
             _, states = run_chains(model, built.f, n, k_max, model.propose(rng, chains), rng)
@@ -535,7 +541,9 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
 
     ref_rng = _stream_rng(seed, _REFERENCE_STREAM)
     ref_points = model.propose(ref_rng, section["reference_draws"])
-    reference = _reference_predictive(model.log_weight(ref_points), ref_points, x_test)
+    # A weighted mean of probabilities can round a few ulp above 1.
+    reference = np.clip(_reference_predictive(model.log_weight(ref_points), ref_points,
+                                              x_test), 0, 1)
 
     predictive = TestFunction(fn=lambda pts: logistic_predictive(pts, x_test),
                               sup_bound=1.0)

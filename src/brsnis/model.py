@@ -20,22 +20,23 @@ numpy's pairwise ``sum(axis=1)``, so every row keeps the bits of the
 row-major sum while numpy's loops run along the rows rather than along a row
 only ``dim`` wide.
 
-No command loads scipy.  The three special functions the models need,
-``gammaln`` for the Student normalizer, ``ndtr`` for the mixture's box
-probabilities and ``logsumexp`` for the weight constants, come from
-``_special``, ports that return scipy 1.17's bits, and the weight maximization
-is a lockstep multistart Nelder-Mead in numpy that follows scipy's iterates
-bit for bit.  scipy is left to the tests, which hold each port to it.
+No command loads scipy.  The Student normalizer's ``gammaln`` is a port in
+``_special`` that returns scipy 1.17's bits, the box probabilities take the
+normal CDF from ``math.erfc``, the weight constants sum weights shifted by
+their maximum, and the weight maximization is a lockstep multistart
+Nelder-Mead in numpy that follows scipy's iterates bit for bit.  scipy is
+left to the tests, which hold the port and the search to it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._special import gammaln, logsumexp, ndtr
+from ._special import gammaln
 from .snis import _check_top_log_weights
 
 
@@ -365,13 +366,15 @@ def mixture_rectangle_probability(spec: MixtureSpec, rect: np.ndarray) -> float:
     """Exact probability of an axis-aligned box under the mixture target.
 
     Product of one-dimensional Gaussian CDF differences per component, mixed
-    by the component masses.
+    by the component masses.  The CDF is 0.5 erfc(-x / sqrt(2)), exact 0 and
+    1 at infinite edges.
     """
     rect = np.asarray(rect, dtype=float)
     sd = np.sqrt(spec.cov_scale)
     total = 0.0
     for j, mass in enumerate((spec.weight, 1.0 - spec.weight)):
-        hi, lo = (np.array([ndtr(v) for v in (edge - spec.means[j]) / sd])
+        hi, lo = (np.array([0.5 * math.erfc(-v * math.sqrt(0.5))
+                            for v in (edge - spec.means[j]) / sd])
                   for edge in (rect[:, 1], rect[:, 0]))
         total += mass * float(np.prod(hi - lo))
     return total
@@ -565,16 +568,19 @@ def logistic_predictive(theta: np.ndarray, covariates: np.ndarray) -> np.ndarray
 
 def estimate_kappa(log_weights: np.ndarray) -> float:
     """Plug-in estimate of the chi-square weight constant lambda(w^2)/lambda(w)^2
-    from the log weights of i.i.d. proposal draws.  Computed in log space, so
-    the result is invariant to any constant shift of the log weights.  A NaN
-    or +inf log weight raises ValueError, and a sample without a finite one
-    DegenerateWeightsError, before anything is computed."""
+    from the log weights of i.i.d. proposal draws.  The weights are shifted
+    by their maximum, w = exp(log_weights - max), as ``normalize_weights``
+    shifts them, so the result is invariant to any constant shift of the log
+    weights and cannot overflow.  A NaN or +inf log weight raises ValueError,
+    and a sample without a finite one DegenerateWeightsError, before
+    anything is computed."""
     n = len(log_weights)
     if n < 2:
         raise ValueError("kappa needs the log weights of at least 2 draws")
-    _check_top_log_weights(np.max(log_weights))
-    return float(np.exp(logsumexp(2.0 * log_weights) - 2.0 * logsumexp(log_weights)
-                        + np.log(n)))
+    top = np.max(log_weights)
+    _check_top_log_weights(top)
+    w = np.exp(log_weights - top)
+    return float(n * np.sum(w * w) / np.sum(w) ** 2)
 
 
 # scipy's Nelder-Mead coefficients (reflection, expansion, contraction,
@@ -664,15 +670,15 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
     draws (the weight surface of the built-in mixture is multimodal, so a
     derivative-free multistart is used).  The restarts run in lockstep, one
     batched ``log_weight`` call per phase for all of them, and each follows
-    scipy's Nelder-Mead iterates bit for bit.  The denominator is the
-    log-space mean of ``exp(log_weights)``, the weights of i.i.d. proposal
-    draws, such as the sample ``estimate_kappa`` reads.  The numerator is the
-    larger of the Nelder-Mead maximum and the top weight of ``log_weights``,
-    so starts that all have zero weight still read a bounded weight.  Only
-    the numerator is a lower bound on sup w; the denominator is a Monte Carlo
-    mean with relative standard error about sqrt((kappa - 1) /
-    len(log_weights)), so the ratio can land on either side of the true
-    constant.  ``log_weights`` is checked as ``estimate_kappa`` checks it.
+    scipy's Nelder-Mead iterates bit for bit.  The denominator is the mean
+    of ``exp(log_weights)``, the weights of i.i.d. proposal draws, such as
+    the sample ``estimate_kappa`` reads, summed shifted by the top log
+    weight.  The numerator is the larger of the Nelder-Mead maximum and the
+    top weight of ``log_weights``, so starts that all have zero weight still
+    read a bounded weight.  Only the numerator is a lower bound on sup w; the
+    denominator is a Monte Carlo mean with relative standard error about
+    sqrt((kappa - 1) / len(log_weights)), so the ratio can land on either
+    side of the true constant.  ``log_weights`` is checked as ``estimate_kappa`` checks it.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -694,5 +700,6 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
         return -lw
 
     best = max(-_nelder_mead_minima(neg_log_weight, starts).min(), top)
-    log_mean_weight = logsumexp(log_weights) - np.log(len(log_weights))
+    log_mean_weight = (top + np.log(np.sum(np.exp(log_weights - top)))
+                       - np.log(len(log_weights)))
     return float(np.exp(best - log_mean_weight))

@@ -17,9 +17,9 @@ from scipy.stats import chisquare
 from brsnis import (benchmark_mixture, bootstrap_br_snis, bound_constants,
                     build_sample_bank, coverage_check,
                     estimate_kappa, estimate_omega, fit_geometric_rate,
-                    make_gaussian_mixture,
+                    lag_covariance, make_gaussian_mixture,
                     make_logistic_posterior, mixture_test_function,
-                    mixture_truth, pool_bias_bound, pool_mse_bound,
+                    mixture_truth, pool_bias_bound, pool_cov_bound, pool_mse_bound,
                     replication_stats, rolling_bias_bound, rolling_estimate,
                     rolling_hpd_bound, rolling_mse_bound, run_chains, sliced_wasserstein,
                     snis_bias_bound, snis_estimate, snis_hpd_bound,
@@ -189,6 +189,29 @@ class TestPoolMseAndRollingBounds:
                 details.append(f"k0={k0}: |bias|={bias:.2e}<={bias_bound:.2g}"
                                f"+{3 * bias_se:.1e}, mse={mse:.2e}<={mse_bound:.3g}")
         report("pool MSE and rolling bounds (N in {8,32,128}, k=20)", ok,
+               "; ".join(details))
+
+    def test_lag_covariance_under_closed_form_bound(self, mixture2, constants2,
+                                                    cold_chain_runs):
+        """The same runs: for N in {8, 32, 128} and lags 1, 2 and 5, the
+        cross moment of the first recycled estimate with the one ``lag``
+        steps later stays under ``pool_cov_bound`` sup|f|^2 plus 3 standard
+        errors."""
+        _, _, f, truth = mixture2
+        omega, kappa = constants2
+        ok = True
+        details = []
+        for n, recycled in cold_chain_runs.items():
+            consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), n)
+            for lag in (1, 2, 5):
+                cov = abs(lag_covariance(recycled, truth, lag, base_index=0))
+                products = (recycled[:, 0] - truth) * (recycled[:, lag] - truth)
+                se = products.std(ddof=1) / np.sqrt(len(products))
+                bound = pool_cov_bound(consts, lag) * f.sup_bound ** 2
+                ok = ok and cov <= bound + 3.0 * se
+                details.append(f"N={n} lag={lag}: |cov|={cov:.2e}<={bound:.3g}"
+                               f"+{3 * se:.1e}")
+        report("lag covariance bound (N in {8,32,128}, lags 1, 2, 5)", ok,
                "; ".join(details))
 
 

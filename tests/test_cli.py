@@ -153,9 +153,11 @@ class TestBoundsCommand:
         ({}, ["--override", "schema=7"], "config schema field must equal 1"),
         ({"omega": 10 ** 400}, [], "omega must be float, not an int beyond its range"),
         ({}, ["--override", "omega=" + "1" * 5000], "omega must be float >= 1.0"),
+        ({"grid": [{"N": 8, "k": 4, "rounds": 2}]}, [],
+         "bounds grid entries do not read ['rounds']"),
     ], ids=["omega-below-one", "kappa-below-one", "out-flag", "no-threads",
             "one-estimate-draw", "infinite-omega", "infinite-kappa", "schema-override",
-            "omega-beyond-float", "omega-beyond-int-digits"])
+            "omega-beyond-float", "omega-beyond-int-digits", "grid-rounds"])
     def test_config_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                             constants, argv, message):
         """omega and kappa are at least 1 by definition, bounds writes no file,
@@ -164,8 +166,9 @@ class TestBoundsCommand:
         nothing and one estimate draw exited 3 after the model was built.
         An infinite kappa printed ``Infinity``, which is no JSON, an
         infinite omega exited 3 from the mixing rate, a schema set by
-        ``--override`` was never checked, and an integer omega too large for
-        a float, or with more digits than Python parses, exited 3."""
+        ``--override`` was never checked, an integer omega too large for a
+        float, or with more digits than Python parses, exited 3, and a grid
+        entry's rounds, which no bound reads, was accepted."""
         forbid_sampling(monkeypatch)
         config = write_config(tmp_path, {
             "schema": 1, "model": {"name": "gaussian-mixture", "dim": 2},
@@ -277,14 +280,21 @@ class TestExperimentCommand:
         {"kappa": 0.5},
         {"grid": [{"M": 1}]},
         {"grid": [{"M": 64, "N": 5, "k": 2, "k0": 2}]},
+        {"grid": [{"M": 64, "N": 9, "k0": 3, "rounds": 3}]},
+        {"estimator": "br-snis", "grid": [{"N": 5, "k": 6, "rounds": 2}]},
+        {"estimator": "isir-state", "grid": [{"N": 5, "k": 6, "rounds": 2}]},
     ], ids=["top-level-typo", "grid-typo", "string-count", "boolean-dim",
             "fractional-dim", "unknown-model-key", "one-candidate", "empty-out",
-            "omega-below-one", "kappa-below-one", "snis-one-sample", "snis-burn-in"])
+            "omega-below-one", "kappa-below-one", "snis-one-sample", "snis-burn-in",
+            "snis-unread-keys", "br-snis-rounds", "isir-state-rounds"])
     def test_config_checked_before_sampling(self, tmp_path, monkeypatch, overrides):
         """Unknown keys, wrong types and values below their least value exit 2
         before any draw; a mistyped ``replication`` used to run one
         replication and exit 0, kappa 0.5 ran as kappa 1 and SNIS with one
-        sample ran every replication before its bound exited 3."""
+        sample ran every replication before its bound exited 3.  A grid key
+        the estimator never reads exits 2 too: snis reads only M, and only
+        the bootstrap reads rounds; each used to be echoed into the CSV as a
+        schedule that never ran."""
         forbid_sampling(monkeypatch)
         config = experiment_config(tmp_path, **overrides)
         assert main(["experiment", "--config", config]) == 2
@@ -296,7 +306,7 @@ class TestExperimentCommand:
         model = {"name": "logistic-synthetic", "dim": 2, "n_obs": 20}
         sup = cli.build_model(model).f.sup_bound
         assert sup != 1.0
-        cases = {"snis": ({"N": 5, "M": 64}, "snis"), "isir-state": ({"N": 5, "k": 6}, None),
+        cases = {"snis": ({"M": 64}, "snis"), "isir-state": ({"N": 5, "k": 6}, None),
                  "br-snis": ({"N": 5, "k": 6, "k0": 2}, "rolling"),
                  "br-snis-bootstrap": ({"N": 5, "k": 6}, "rolling")}
         for estimator, (point, name) in cases.items():
@@ -304,7 +314,8 @@ class TestExperimentCommand:
                                        grid=[point], replications=2, batch_size=1)
             assert main(["experiment", "--config", config]) == 0
             summary = json.loads((tmp_path / "out.csv.summary.json").read_text())["points"][0]
-            grid = {key: summary[key] for key in ("N", "k", "k0", "rounds", "M")}
+            # bounds reads no rounds, and needs an N that snis does not read.
+            grid = {"N": 5, **{key: summary[key] for key in ("k", "k0", "M")}}
             config = write_config(tmp_path, {"schema": 1, "model": model, "omega": 18.0,
                                              "kappa": 6.0, "grid": [grid]}, "bounds.json")
             assert main(["bounds", "--config", config]) == 0
@@ -436,9 +447,10 @@ class TestDiagnoseCommand:
     def test_sw_estimates_constants_as_bounds_does(self, tmp_path, monkeypatch, capsys):
         """Without a supplied omega, sw and ``bounds`` draw the constants
         once each, ``estimate_draws`` weights then ``estimate_restarts``
-        starts, and sw's mixing rate is that of the omega ``bounds`` reports
-        at the same seed.  sw estimates no kappa, and given omega it draws
-        nothing on the constants stream."""
+        starts, and sw's summary reports the omega ``bounds`` reports at the
+        same seed, flagged estimated, with the mixing rates it gives.  sw
+        estimates no kappa, and given omega it draws nothing on the
+        constants stream and reports that omega."""
         drawn = []
         kappa_estimates = []
         resolve, estimate_kappa = cli.resolve_constants, cli.estimate_kappa
@@ -465,11 +477,36 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", sw_config(tmp_path), *estimate,
                      "--override", "omega=null"]) == 0
         summary = json.loads((tmp_path / "sw.csv.summary.json").read_text())
+        assert (summary["omega"], summary["omega_estimated"]) == (omega, True)
         assert [entry["log_mixing_rate"] for entry in summary["per_n"]] == \
             [float(np.log(mixing_rate(omega, n))) for n in (4, 8)]
         assert main(["diagnose", "--config", sw_config(tmp_path), *estimate]) == 0
+        summary = json.loads((tmp_path / "sw.csv.summary.json").read_text())
+        assert (summary["omega"], summary["omega_estimated"]) == (18.0, False)
         assert drawn == [2002, 2002, 0]
         assert kappa_estimates == [2000]
+
+    def test_tv_reference_clipped_to_probabilities(self, tmp_path, monkeypatch):
+        """With a sharp posterior the SNIS reference predictive rounds a few
+        ulp above 1 at some test points; the run used to exit 3 with
+        "probabilities must be finite and lie in [0, 1]"."""
+        references = []
+        reference = cli._reference_predictive
+        monkeypatch.setattr(cli, "_reference_predictive",
+                            lambda *args: references.append(reference(*args)) or references[-1])
+        assert main(["diagnose", "--config", str(ROOT / "configs" / "logistic_tv.json"),
+                     "--seed", "1", "--out", str(tmp_path / "tv.csv"),
+                     "--override", "model.theta_star=[20,20,20,20,20]",
+                     "--override", "model.n_obs=2000",
+                     "--override", "diagnostic.replications=3",
+                     "--override", "diagnostic.reference_draws=20000",
+                     "--override", "diagnostic.budgets=[32]"]) == 0
+        assert references[0].max() > 1.0
+        summary = json.loads((tmp_path / "tv.csv.summary.json").read_text())
+        entry = summary["per_budget"][0]
+        assert all(0.0 <= entry[key] <= 1.0 for key in (
+            "mean_tv_snis", "mean_tv_br", "tv_of_averaged_predictive_snis",
+            "tv_of_averaged_predictive_br"))
 
     def test_tv_output_identical_across_thread_counts(self, tmp_path):
         config = tv_config(tmp_path, replications=6)
@@ -692,7 +729,9 @@ class TestShippedInputs:
 
 
 class TestImportPath:
-    """No command loads scipy: the mixture's special functions are ports."""
+    """No command loads scipy: the Student normalizer's ``gammaln`` is a port,
+    the box probabilities use ``math.erfc`` and the weight constants sum
+    max-shifted weights."""
 
     def test_build_model_loads_no_scipy_optimize(self, tmp_path):
         """Both models, ``bounds`` estimating omega and kappa, and a mixture
