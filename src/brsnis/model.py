@@ -24,8 +24,10 @@ No command loads scipy.  The Student normalizer's ``gammaln`` is a port in
 ``_special`` that returns scipy 1.17's bits, the box probabilities take the
 normal CDF from ``math.erfc``, the weight constants sum weights shifted by
 their maximum, and the weight maximization is a lockstep multistart
-Nelder-Mead in numpy that follows scipy's iterates bit for bit.  scipy is
-left to the tests, which hold the port and the search to it.
+Nelder-Mead in numpy that follows scipy's iterates bit for bit.  It scores
+all four candidate points of every live restart in one weight call an
+iteration, one more for each shrink, where scipy evaluates one or two.
+scipy is left to the tests, which hold the port and the search to it.
 """
 
 from __future__ import annotations
@@ -587,76 +589,99 @@ def estimate_kappa(log_weights: np.ndarray) -> float:
 # shrink) and the stopping rule of the weight maximization.
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
 _NM_MAXITER, _NM_XATOL, _NM_FATOL = 2000, 1e-8, 1e-10
+# An iteration's four candidate points, a * xbar - b * worst: the reflection,
+# the expansion, and the outside and inside contractions.  scipy's inside
+# contraction (1 - psi) * xbar + psi * worst is the same bits with b = -psi.
+_NM_A = np.array([1 + _NM_RHO, 1 + _NM_RHO * _NM_CHI, 1 + _NM_PSI * _NM_RHO,
+                  1 - _NM_PSI], dtype=float)[:, None, None]
+_NM_B = np.array([_NM_RHO, _NM_RHO * _NM_CHI, _NM_PSI * _NM_RHO,
+                  -_NM_PSI], dtype=float)[:, None, None]
+# scipy's four branches, by case: expand (0), accept the reflection (1),
+# contract outside (2) or inside (3).  The candidate each evaluates after the
+# reflection (accepting evaluates none, and the reflection stands in), and the
+# candidate it keeps when that point fails (even entries) or passes (odd) its
+# test, -1 for a shrink.
+_NM_SECOND = np.array([1, 0, 2, 3])
+_NM_KEPT = np.array([0, 1, 0, 0, -1, 2, -1, 3])
 
 
-def _nelder_mead_minima(fun: Callable[[np.ndarray], np.ndarray],
-                        starts: np.ndarray) -> np.ndarray:
+def _nelder_mead_minima(fun: Callable[[np.ndarray], np.ndarray], starts: np.ndarray,
+                        check: Callable[[np.ndarray], object] = lambda values: None
+                        ) -> np.ndarray:
     """The minimum Nelder-Mead reaches from each row of ``starts``.
 
     Each restart follows ``scipy.optimize.minimize(method="Nelder-Mead")``
     with ``maxiter=_NM_MAXITER``, ``xatol=_NM_XATOL`` and ``fatol=_NM_FATOL``
     bit for bit: the same initial simplex, steps, comparisons and re-sorts.
-    The restarts still running advance in lockstep, so ``fun``, which maps
-    ``(m, dim)`` points to ``(m,)`` values, is called at most three times an
-    iteration: on every reflection, on each restart's expansion or
-    contraction point, and on the shrunk simplices.
+    The restarts still running advance in lockstep.  ``fun``, which maps
+    ``(m, dim)`` points to ``(m,)`` values, is called once an iteration on
+    all four candidate points of every live restart (reflection, expansion,
+    outside and inside contraction), and once more on the shrunk simplices
+    when a restart shrinks.  Each restart keeps the candidate scipy's branch
+    keeps; the values of the points scipy never evaluates are computed but
+    never compared.  ``check``, if given, is called on the values of exactly
+    the points scipy evaluates (the initial simplices, every reflection,
+    each branch's second point and the shrunk vertices) and may raise.
     """
     r, n = starts.shape
     s = np.repeat(starts[:, None, :], n + 1, axis=1)
     axes = np.arange(n)
     s[:, axes + 1, axes] = np.where(starts != 0, (1 + 0.05) * starts, 0.00025)
     fs = fun(s.reshape(-1, n)).reshape(r, n + 1)
+    check(fs)
+    cols = np.arange(r)
+    rows = cols[:, None]
 
     def resort(s, fs):
         order = np.argsort(fs, axis=1)
-        rows = np.arange(len(fs))[:, None]
         return s[rows, order], fs[rows, order]
 
     # scipy sorts the first simplex twice; argsort need not be stable, so
     # only the same two sorts promise the same order of tied vertices.
     s, fs = resort(*resort(s, fs))
     minima = np.empty(r)
-    live = np.arange(r)  # rows of ``starts`` still running; s and fs hold theirs
+    live = cols  # rows of ``starts`` still running; s and fs hold theirs
     for _ in range(1, _NM_MAXITER):
-        # On a plateau of +inf values inf - inf is NaN, which compares false:
-        # the restart is not done, as in scipy.
+        # Rows of fs are sorted, so fs[-1] - fs[0] is scipy's largest
+        # |fs[0] - fs[j]|.  On a plateau of +inf values inf - inf is NaN,
+        # which compares false: the restart is not done, as in scipy.
         with np.errstate(invalid="ignore"):
-            done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _NM_XATOL)
-                    & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= _NM_FATOL))
+            done = fs[:, -1] - fs[:, 0] <= _NM_FATOL
+            if done.any():
+                near = np.flatnonzero(done)
+                done[near] = np.abs(s[near, 1:] - s[near, :1]).max(axis=(1, 2)) <= _NM_XATOL
         if done.any():
             minima[live[done]] = fs[done].min(axis=1)
             live, s, fs = live[~done], s[~done], fs[~done]
             if not len(live):
                 break
+            cols = np.arange(len(live))
+            rows = cols[:, None]
         xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
-        fxr = fun(xr)
-        expand = fxr < fs[:, 0]
-        accept = ~expand & (fxr < fs[:, -2])
-        outside = ~expand & ~accept & (fxr < fs[:, -1])
-        inside = ~expand & ~accept & ~outside
-        # Second point a * xbar - b * worst; scipy's inside contraction
-        # (1 - psi) * xbar + psi * worst is the same bits with b = -psi.
-        a = np.where(expand, 1 + _NM_RHO * _NM_CHI,
-                     np.where(outside, 1 + _NM_PSI * _NM_RHO, 1 - _NM_PSI))
-        b = np.where(expand, _NM_RHO * _NM_CHI,
-                     np.where(outside, _NM_PSI * _NM_RHO, -_NM_PSI))
-        x2, f2 = xr.copy(), fxr.copy()
-        second = ~accept
-        if second.any():
-            x2[second] = a[second, None] * xbar[second] - b[second, None] * worst[second]
-            f2[second] = fun(x2[second])
-        bar = np.where(inside, fs[:, -1], fxr)
-        better = second & np.where(outside, f2 <= bar, f2 < bar)
-        replace = accept | expand | better
-        s[replace, -1] = np.where(better[:, None], x2, xr)[replace]
-        fs[replace, -1] = np.where(better, f2, fxr)[replace]
-        shrink = ~replace
-        if shrink.any():
+        points = _NM_A * xbar - _NM_B * s[:, -1]
+        f = fun(points.reshape(-1, n)).reshape(4, -1)
+        fxr = f[0]
+        # Each restart's case is the first of scipy's tests fxr < fs[0],
+        # fxr < fs[-2], fxr < fs[-1] to hold, else 3; a NaN fails them all.
+        case = np.where(fxr < fs[:, 0], 0, np.where(
+            fxr < fs[:, -2], 1, np.where(fxr < fs[:, -1], 2, 3)))
+        f2 = f[_NM_SECOND[case], cols]
+        check(fxr)
+        check(f2)
+        # The second point's test: fxe < fxr, fxc <= fxr or fxcc < fs[-1].
+        bar = np.where(case == 3, fs[:, -1], fxr)
+        passed = np.where(case == 2, f2 <= bar, f2 < bar)
+        keep = _NM_KEPT[2 * case + passed]
+        kept = keep >= 0
+        np.copyto(s[:, -1], points[keep, cols], where=kept[:, None])
+        np.copyto(fs[:, -1], f[keep, cols], where=kept)
+        if not kept.all():
+            shrink = ~kept
             best = s[shrink, :1]
             s[shrink, 1:] = best + _NM_SIGMA * (s[shrink, 1:] - best)
-            fs[shrink, 1:] = fun(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+            shrunk = fun(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+            check(shrunk)
+            fs[shrink, 1:] = shrunk
         s, fs = resort(s, fs)
     minima[live] = fs.min(axis=1)  # restarts stopped by the iteration limit
     return minima
@@ -669,8 +694,12 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
     The numerator is maximized by Nelder-Mead from ``restarts`` proposal
     draws (the weight surface of the built-in mixture is multimodal, so a
     derivative-free multistart is used).  The restarts run in lockstep, one
-    batched ``log_weight`` call per phase for all of them, and each follows
-    scipy's Nelder-Mead iterates bit for bit.  The denominator is the mean
+    batched ``log_weight`` call an iteration on all their candidate points
+    plus one for each shrink, and each follows scipy's Nelder-Mead iterates
+    bit for bit.  A log weight 500 nats or more above the larger of the best
+    start's and the top of ``log_weights``, or NaN, at a point scipy's search
+    evaluates raises UnboundedWeightError; the candidates it never reaches
+    are evaluated but not checked.  The denominator is the mean
     of ``exp(log_weights)``, the weights of i.i.d. proposal draws, such as
     the sample ``estimate_kappa`` reads, summed shifted by the top log
     weight.  The numerator is the larger of the Nelder-Mead maximum and the
@@ -692,14 +721,15 @@ def estimate_omega(model: ModelSpec, log_weights: np.ndarray, restarts: int,
     ceiling = max(float(model.log_weight(starts).max()), top) + 500.0
 
     def neg_log_weight(points):
-        lw = model.log_weight(points)
-        if not np.all(lw < ceiling):
+        return -model.log_weight(points)
+
+    def check(neg_log_weights):
+        if not (neg_log_weights > -ceiling).all():
             raise UnboundedWeightError(
                 "weight maximization diverged; the bounded-weight assumption "
                 "appears violated")
-        return -lw
 
-    best = max(-_nelder_mead_minima(neg_log_weight, starts).min(), top)
+    best = max(-_nelder_mead_minima(neg_log_weight, starts, check).min(), top)
     log_mean_weight = (top + np.log(np.sum(np.exp(log_weights - top)))
                        - np.log(len(log_weights)))
     return float(np.exp(best - log_mean_weight))

@@ -312,6 +312,34 @@ class TestEstimateKappa:
             estimate_kappa(np.array([0.0, -np.inf, bad]))
 
 
+def pseudo_random(points):
+    """A value in [0, 1) hashed from each row's bits: a surface no search
+    settles on, the same for a row in any batch."""
+    bits = np.ascontiguousarray(points, dtype=float).view(np.uint64)
+    h = np.bitwise_xor.reduce(bits * np.uint64(0x9E3779B97F4A7C15), axis=1)
+    h ^= h >> np.uint64(29)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(32)
+    return (h >> np.uint64(11)) * 2.0 ** -53
+
+
+def bowl(points, center):
+    return ((points - center) ** 2).sum(axis=1)
+
+
+# Objectives past the mixture's weight surface: NaN outside a box, a +inf
+# plateau (zero weight) beside a bowl, and three whose restarts run into the
+# iteration cap: a bowl roughened by pseudo-random noise, the noise alone, and
+# a cone so steep that it still improves at the cap's last iteration in 3-D.
+EDGE_SURFACES = {
+    "nan-hole": lambda p: np.where(np.abs(p).max(axis=1) < 1.5, bowl(p, 0.5), np.nan),
+    "inf-plateau": lambda p: np.where(p[:, 0] < 0, np.inf, bowl(p, 1.0)),
+    "rough": lambda p: bowl(p, 0.0) + 0.1 * pseudo_random(p),
+    "pseudo-random": pseudo_random,
+    "cone": lambda p: 1e100 * np.sqrt(np.sqrt(bowl(p, 0.0))),
+}
+
+
 class TestEstimateOmega:
     def test_constant_weights(self):
         model = ModelSpec(dim=2, log_weight=lambda x: np.zeros(len(x)),
@@ -376,35 +404,99 @@ class TestEstimateOmega:
         assert est == pytest.approx(2.01, abs=0.01)
 
     @staticmethod
-    def scipy_minima(model, starts):
-        """Each start's minimum of -log w by scipy's Nelder-Mead, one point
-        per call: the oracle the lockstep maximizer must match bit for bit."""
+    def scipy_runs(fun, starts):
+        """scipy's Nelder-Mead from each start on ``fun``, which maps ``(m,
+        dim)`` points to ``(m,)`` values, one point per call.  scipy's own
+        inf - inf on a plateau of +inf values passes without a warning."""
         options = {"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-10}
-        return np.array([
-            minimize(lambda v: -float(model.log_weight(v[None, :])[0]), start,
-                     method="Nelder-Mead", options=options).fun
-            for start in starts])
+        with np.errstate(invalid="ignore"):
+            return [minimize(lambda v: float(fun(v[None, :])[0]), start,
+                             method="Nelder-Mead", options=options)
+                    for start in starts]
+
+    @classmethod
+    def scipy_minima(cls, fun, starts):
+        """Each start's minimum of ``fun`` by scipy: the oracle the lockstep
+        search must match bit for bit."""
+        return np.array([run.fun for run in cls.scipy_runs(fun, starts)])
 
     @pytest.mark.parametrize("dim,seed", [(2, 1), (2, 2), (2, 3), (7, 1), (7, 2)])
     def test_lockstep_matches_scipy_per_restart(self, dim, seed):
         model = make_gaussian_mixture(benchmark_mixture(dim))
         starts = model.propose(np.random.default_rng(seed), 8)
-        minima = brsnis.model._nelder_mead_minima(lambda p: -model.log_weight(p), starts)
-        assert np.array_equal(minima, self.scipy_minima(model, starts))
+        fun = lambda p: -model.log_weight(p)
+        minima = brsnis.model._nelder_mead_minima(fun, starts)
+        assert np.array_equal(minima, self.scipy_minima(fun, starts))
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_lockstep_matches_scipy_one_dimensional(self, gauss_student_1d, seed):
         _, model, _, _ = gauss_student_1d
         starts = model.propose(np.random.default_rng(seed), 8)
         starts[0] = 0.0  # scipy's simplex steps 0.00025 from a zero coordinate
-        minima = brsnis.model._nelder_mead_minima(lambda p: -model.log_weight(p), starts)
-        assert np.array_equal(minima, self.scipy_minima(model, starts))
+        fun = lambda p: -model.log_weight(p)
+        minima = brsnis.model._nelder_mead_minima(fun, starts)
+        assert np.array_equal(minima, self.scipy_minima(fun, starts))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("surface", list(EDGE_SURFACES))
+    def test_lockstep_matches_scipy_on_edge_surfaces(self, surface, dim):
+        """NaN and +inf values take scipy's branches, and restarts that run
+        to the iteration cap stop where scipy's do.  Two starts put a vertex
+        of the first simplex just outside the NaN box.  ``check`` sees the
+        values of the points scipy evaluates, every reflection included, and
+        no discarded candidate's."""
+        fun = EDGE_SURFACES[surface]
+        starts = np.random.default_rng(dim).standard_normal((6, dim))
+        starts[:2, 0] = 1.45
+        evaluated, checked = [], []
+
+        def recorded(points):
+            evaluated.append(fun(points))
+            return evaluated[-1]
+
+        runs = self.scipy_runs(recorded, starts)
+        minima = brsnis.model._nelder_mead_minima(fun, starts, checked.append)
+        assert np.array_equal(minima, [run.fun for run in runs], equal_nan=True)
+        bits = lambda arrays: set(np.concatenate([a.ravel() for a in arrays]).view(np.uint64))
+        assert bits(checked) == bits(evaluated)
+        # Every case but these two runs some restart to the cap.
+        capped = (surface, dim) not in {("nan-hole", 1), ("cone", 1)}
+        assert (max(run.nit for run in runs) == 2000) == capped
+
+    def test_discarded_candidates_never_checked(self, mixture2):
+        """The lockstep search also evaluates candidates scipy's branch never
+        reaches.  With a log weight that is NaN at every point scipy does not
+        evaluate, it evaluates NaN but never checks it: omega keeps the plain
+        model's float instead of raising UnboundedWeightError."""
+        _, model, _, _ = mixture2
+        log_weights = model.log_weight(model.propose(np.random.default_rng(14), 1000))
+        evaluated = set()
+
+        def recorded(points):
+            evaluated.add(points[0].tobytes())
+            return -model.log_weight(points)
+
+        self.scipy_minima(recorded, model.propose(np.random.default_rng(15), 4))
+        hidden = []
+
+        def holed_log_weight(points):
+            lw = model.log_weight(points)
+            hole = np.array([point.tobytes() not in evaluated for point in points])
+            hidden.append(hole.sum())
+            lw[hole] = np.nan
+            return lw
+
+        holed = dataclasses.replace(model, log_weight=holed_log_weight)
+        assert estimate_omega(holed, log_weights, 4, np.random.default_rng(15)) == \
+            estimate_omega(model, log_weights, 4, np.random.default_rng(15))
+        assert sum(hidden) > 0
 
     def test_benchmark_constants_pinned_and_batched(self, monkeypatch):
         """The benchmark's d=7, 8-restart constants at seed 1001: omega keeps
         the float the one-point-at-a-time scipy search gave, from at most
-        2500 batched log_weight calls in the maximization (about 10^4
-        before); kappa is the max-shifted plug-in's."""
+        1400 batched log_weight calls in the maximization, one an iteration
+        plus one a shrink (about 10^4 one point at a time, 2,438 with a
+        call for each phase); kappa is the max-shifted plug-in's."""
         from brsnis import cli
         config = cli.read_section("bounds", cli.load_config(
             str(ROOT / "configs" / "mixture_bounds.json"),
@@ -422,7 +514,7 @@ class TestEstimateOmega:
         built = cli.build_model(config["model"])
         assert cli.resolve_constants(config, built) == \
             (30819.35554052846, 1220.0844336782836, True)
-        assert 0 < len(calls) <= 2500
+        assert 0 < len(calls) <= 1400
 
 
 class TestLaplaceProposal:
