@@ -260,7 +260,7 @@ def _normalize_grid_point(command: str, point: dict) -> dict:
     """A grid entry of ``bounds`` or of an estimator, checked; a chain
     estimator's entry gets its k, k0, M and rounds filled in.  A key that the
     command never reads is a ConfigError: snis reads only M, the bootstrap
-    every key, and ``bounds`` and the other estimators all but rounds."""
+    every key, the others all but rounds, and ``bounds`` k0 only beside k."""
     out = read_section("grid", point)
     unread = set(point) - {"snis": {"M"}, "br-snis-bootstrap": set(out)}.get(
         command, {"N", "k", "k0", "M"})
@@ -285,6 +285,8 @@ def _normalize_grid_point(command: str, point: dict) -> dict:
             out["k0"] = k - 1 if command == "br-snis-bootstrap" else 0
         if command == "br-snis-bootstrap" and out["rounds"] is None:
             out["rounds"] = k
+    elif out["k"] is None and out["k0"] is not None:
+        raise ConfigError(f"{command} grid entries read k0 only with k")
     if out["k"] is not None and (out["k0"] or 0) >= out["k"]:
         raise ConfigError("k0 must lie in [0, k)")
     return out

@@ -15,19 +15,19 @@ loop several times slower.  The two agree to a few ulp, not bit for bit.
 
 The mixture's log weight runs coordinate-major: each row block is copied to
 ``(dim, n)`` and the squared distances to both component centers are summed
-over the coordinates by ``_coordinate_sums``, which repeats the order of
-numpy's pairwise ``sum(axis=1)``, so every row keeps the bits of the
-row-major sum while numpy's loops run along the rows rather than along a row
-only ``dim`` wide.
+over the coordinates in one reduction, so numpy's loops run along the rows
+rather than along a row only ``dim`` wide.  It matches the row-major scipy
+formula to the rounding error of a recursive sum, not bit for bit.  In both
+models a lone row is evaluated as a two-row block, so no row's bits depend
+on its batch.
 
-No command loads scipy.  The Student normalizer's ``gammaln`` is a port in
-``_special`` that returns scipy 1.17's bits, the box probabilities take the
-normal CDF from ``math.erfc``, the weight constants sum weights shifted by
-their maximum, and the weight maximization is a lockstep multistart
-Nelder-Mead in numpy that follows scipy's iterates bit for bit.  It scores
-all four candidate points of every live restart in one weight call an
-iteration, one more for each shrink, where scipy evaluates one or two.
-scipy is left to the tests, which hold the port and the search to it.
+No command loads scipy.  The Student normalizer takes ``math.lgamma``, the
+box probabilities ``math.erfc``, and the weight constants sum weights shifted
+by their maximum.  The weight maximization is a lockstep multistart
+Nelder-Mead in numpy that follows scipy's iterates bit for bit, scoring all
+four candidate points of every live restart in one weight call an iteration,
+one more for each shrink, where scipy evaluates one or two.  scipy is left to
+the tests, which hold the weight and the search to it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._special import gammaln
 from .snis import _check_top_log_weights
 
 
@@ -179,6 +178,19 @@ def row_blocks(n: int, width: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _lone_row_as_pair(log_weight: Callable) -> Callable:
+    """``log_weight`` on points read as float ``(n, dim)`` rows, a lone row
+    evaluated as a two-row block.  numpy sums a one-row reduction pairwise
+    and BLAS takes its matrix-vector kernel for a one-row product, so a
+    lone row could get other bits than the same row of any batch."""
+    def batched(points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if len(points) == 1:
+            return log_weight(np.repeat(points, 2, axis=0))[:1]
+        return log_weight(points)
+    return batched
+
+
 # ---------------------------------------------------------------------------
 # The shared Student proposal; Gaussian mixture target
 # ---------------------------------------------------------------------------
@@ -270,38 +282,6 @@ def benchmark_mixture(dim: int) -> MixtureSpec:
     )
 
 
-# numpy's pairwise summation (``pairwise_sum`` in its loops) sums up to this
-# many terms with eight interleaved accumulators and splits longer runs.
-_PAIRWISE_BLOCK = 128
-
-
-def _coordinate_sums(a: np.ndarray) -> np.ndarray:
-    """Sums over axis -2 of ``a``, each column in numpy's pairwise order.
-
-    Column j gets the bits ``a[..., :, j].sum()`` gives a contiguous row:
-    below 8 terms one sequential sum, up to ``_PAIRWISE_BLOCK`` eight
-    strided accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    plus the tail in order, and above that the two halves split at a
-    multiple of 8, each summed the same way.  Every step adds whole rows of
-    columns, so numpy's vector loops run along the columns.
-    """
-    count = a.shape[-2]
-    if count < 8:
-        return np.add.reduce(a, axis=-2)
-    if count <= _PAIRWISE_BLOCK:
-        head = count - count % 8
-        r = np.add.reduce(a[..., :head, :].reshape(a.shape[:-2] + (-1, 8, a.shape[-1])),
-                          axis=-3)
-        out = ((r[..., 0, :] + r[..., 1, :]) + (r[..., 2, :] + r[..., 3, :])) \
-            + ((r[..., 4, :] + r[..., 5, :]) + (r[..., 6, :] + r[..., 7, :]))
-        for i in range(head, count):
-            out += a[..., i, :]
-        return out
-    half = count // 2
-    half -= half % 8
-    return _coordinate_sums(a[..., :half, :]) + _coordinate_sums(a[..., half:, :])
-
-
 def _log_add_exp(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     """log(exp(c0) + exp(c1)) by the arithmetic of scipy 1.17's ``logsumexp``
     over two rows, so bit for bit its result: hi + log1p(exp(lo - hi)), and
@@ -330,7 +310,8 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
     # The centers as (2, dim, 1), to subtract from a (dim, n) block.
     means = spec.means[:, :, None]
     # Normalizer of the centered multivariate Student with identity scale.
-    student_const = (gammaln((_STUDENT_DOF + dim) / 2.0) - gammaln(_STUDENT_DOF / 2.0)
+    student_const = (math.lgamma((_STUDENT_DOF + dim) / 2.0)
+                     - math.lgamma(_STUDENT_DOF / 2.0)
                      - 0.5 * dim * np.log(_STUDENT_DOF * np.pi))
     block = _block_rows(dim)
 
@@ -338,13 +319,13 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
         # Both components' squared distances in one coordinate-major buffer.
         diff = np.subtract(np.ascontiguousarray(points.T), means)
         np.multiply(diff, diff, out=diff)
-        c0, c1 = comp_consts - _coordinate_sums(diff) / two_var
+        c0, c1 = comp_consts - np.add.reduce(diff, axis=1) / two_var
         return _log_add_exp(c0, c1) - (student_const + _student_log_kernel(points))
 
+    @_lone_row_as_pair
     def log_weight(points):
         # Rows are independent, so blocks give the unblocked bits in bounded
         # memory; a batch of one block skips the copy and the loop.
-        points = np.atleast_2d(np.asarray(points, dtype=float))
         if len(points) <= block + 1:
             return block_log_weight(points)
         out = np.empty(len(points))
@@ -522,16 +503,11 @@ def make_logistic_posterior(spec: LogisticPosteriorSpec) -> ModelSpec:
     signed = (spec.covariates * spec.responses[:, None]).T
     block = _block_rows(spec.n_obs)
 
+    @_lone_row_as_pair
     def log_weight(theta):
         # One pass over cache-sized row blocks: each block's log posterior,
         # on two reused (block x n_obs) buffers, less the proposal's log
         # kernel, so no (n, dim) or (n, n_obs) temporary is made.
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        if len(theta) == 1:
-            # A lone row goes through BLAS's matrix-vector kernel, whose bits
-            # can differ from the same row of a larger product; as a two-row
-            # block it gets the bits it has in any batch.
-            return log_weight(np.repeat(theta, 2, axis=0))[:1]
         out = np.empty(len(theta))
         shape = (min(len(theta), block + 1), spec.n_obs)
         margins, softplus = np.empty(shape), np.empty(shape)

@@ -155,9 +155,13 @@ class TestBoundsCommand:
         ({}, ["--override", "omega=" + "1" * 5000], "omega must be float >= 1.0"),
         ({"grid": [{"N": 8, "k": 4, "rounds": 2}]}, [],
          "bounds grid entries do not read ['rounds']"),
+        ({"grid": [{"N": 8, "k0": 5}]}, [], "bounds grid entries read k0 only with k"),
+        ({"grid": [{"N": 8, "k0": 5, "M": 70}]}, [],
+         "bounds grid entries read k0 only with k"),
     ], ids=["omega-below-one", "kappa-below-one", "out-flag", "no-threads",
             "one-estimate-draw", "infinite-omega", "infinite-kappa", "schema-override",
-            "omega-beyond-float", "omega-beyond-int-digits", "grid-rounds"])
+            "omega-beyond-float", "omega-beyond-int-digits", "grid-rounds",
+            "grid-k0-without-k", "grid-k0-with-M-without-k"])
     def test_config_checked_before_sampling(self, tmp_path, monkeypatch, capsys,
                                             constants, argv, message):
         """omega and kappa are at least 1 by definition, bounds writes no file,
@@ -168,7 +172,8 @@ class TestBoundsCommand:
         infinite omega exited 3 from the mixing rate, a schema set by
         ``--override`` was never checked, an integer omega too large for a
         float, or with more digits than Python parses, exited 3, and a grid
-        entry's rounds, which no bound reads, was accepted."""
+        entry's rounds, which no bound reads, was accepted, as was a k0
+        without k, which no bound reads either."""
         forbid_sampling(monkeypatch)
         config = write_config(tmp_path, {
             "schema": 1, "model": {"name": "gaussian-mixture", "dim": 2},
@@ -729,8 +734,8 @@ class TestShippedInputs:
 
 
 class TestImportPath:
-    """No command loads scipy: the Student normalizer's ``gammaln`` is a port,
-    the box probabilities use ``math.erfc`` and the weight constants sum
+    """No command loads scipy: the Student normalizer uses ``math.lgamma``,
+    the box probabilities ``math.erfc``, and the weight constants sum
     max-shifted weights."""
 
     def test_build_model_loads_no_scipy_optimize(self, tmp_path):

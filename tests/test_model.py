@@ -14,7 +14,6 @@ from scipy.optimize import brentq, minimize
 from scipy.special import gammaln, logsumexp
 
 import brsnis.model
-from brsnis import _special
 from brsnis import (CountingModel, DegenerateWeightsError, LogisticPosteriorSpec,
                     MixtureSpec, ModelSpec, NewtonConvergenceError, TestFunction,
                     UnboundedWeightError, benchmark_mixture, estimate_kappa, estimate_omega, indicator_difference,
@@ -25,14 +24,18 @@ from brsnis import (CountingModel, DegenerateWeightsError, LogisticPosteriorSpec
 MEAN_ABS_T3 = 2.0 * np.sqrt(3.0) / np.pi  # E|X| for a t3 variable
 DOF = 3.0  # degrees of freedom of both models' Student proposal
 ROOT = Path(__file__).resolve().parents[1]
-# Dims of the mixture that reach each branch of ``_coordinate_sums``: below
-# 8 coordinates, 8 accumulators with and without a tail, and a split.
+# Dims of the mixture on each side of numpy's pairwise summation of a lone
+# row: one sequential sum below 8 coordinates, 8 accumulators with and without
+# a tail, and a split above 128.
 MIXTURE_DIMS = [2, 7, 8, 9, 17, 130]
 
 
 def scipy_log_weight(spec, points):
-    """The mixture's log weight with its two components summed by scipy's
-    ``logsumexp``: the oracle the model must match bit for bit."""
+    """The mixture's log weight, row-major, with its two components summed by
+    scipy's ``logsumexp``, and the larger magnitude S of the two terms it
+    subtracts (that log-sum-exp and the Student log density).  The model sums
+    each row's dim squared distances in another order and adds a few terms, so
+    it must match to the recursive-sum bound (dim + 4) eps S, not bit for bit."""
     dim, dof = spec.dim, DOF
     log_norm = -0.5 * dim * np.log(2.0 * np.pi * spec.cov_scale)
     comp = np.empty((2, len(points)))
@@ -42,7 +45,16 @@ def scipy_log_weight(spec, points):
     const = (gammaln((dof + dim) / 2.0) - gammaln(dof / 2.0)
              - 0.5 * dim * np.log(dof * np.pi))
     sq = np.einsum("ij,ij->i", points, points)
-    return logsumexp(comp, axis=0) - (const - 0.5 * (dof + dim) * np.log1p(sq / dof))
+    mixture = logsumexp(comp, axis=0)
+    student = const - 0.5 * (dof + dim) * np.log1p(sq / dof)
+    return mixture - student, np.maximum(np.abs(mixture), np.abs(student))
+
+
+def assert_matches_scipy_formula(spec, points, log_weights):
+    expected, scale = scipy_log_weight(spec, points)
+    error = np.abs(log_weights - expected)
+    assert np.all(error <= (spec.dim + 4) * np.finfo(float).eps * scale), \
+        np.max(error / scale) / np.finfo(float).eps
 
 
 def stable_softplus(z):
@@ -204,7 +216,8 @@ class TestGaussianMixtureModel:
 
 class TestLogSumExpBitwise:
     """The mixture's log density repeats scipy's two-term ``logsumexp``
-    arithmetic, so seeded outputs keep every bit."""
+    arithmetic bit for bit, and its log weight matches the scipy formula to
+    the summation bound with each row's bits independent of its batch."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
@@ -220,16 +233,20 @@ class TestLogSumExpBitwise:
         spec = benchmark_mixture(dim)
         model = make_gaussian_mixture(spec)
         points = model.propose(np.random.default_rng(40 + dim), 10 ** 5)
-        assert np.array_equal(model.log_weight(points), scipy_log_weight(spec, points))
-        for point in points[:200]:
-            single = point[None, :]
-            assert np.array_equal(model.log_weight(single), scipy_log_weight(spec, single))
+        batch = model.log_weight(points)
+        assert_matches_scipy_formula(spec, points, batch)
+        # Bits independent of the batch, which chunked and threaded runs and
+        # the lockstep Nelder-Mead rely on.
+        for i, point in enumerate(points[:200]):
+            assert np.array_equal(model.log_weight(point[None, :]), batch[i:i + 1])
+        for i in range(0, 200, 3):
+            assert np.array_equal(model.log_weight(points[i:i + 3]), batch[i:i + 3])
 
     def test_tied_components_match_scipy_formula(self, gauss_student_1d):
         """Equal masses and centers: every point is a tie."""
         spec, model, _, _ = gauss_student_1d
         points = model.propose(np.random.default_rng(42), 10 ** 4)
-        assert np.array_equal(model.log_weight(points), scipy_log_weight(spec, points))
+        assert_matches_scipy_formula(spec, points, model.log_weight(points))
 
     def test_log_weight_does_not_call_scipy(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -240,29 +257,6 @@ class TestLogSumExpBitwise:
         monkeypatch.setattr(scipy.special, "logsumexp", fail)
         model.log_weight(points)
         model.log_weight(points[0])
-
-
-class TestSpecialPorts:
-    """``_special.gammaln`` returns scipy's bits, so the Student normalizer,
-    and with it every mixture log weight, keeps scipy's bits without it."""
-
-    @staticmethod
-    def assert_port_matches(port, oracle, xs):
-        xs = np.asarray(xs, dtype=float)
-        assert np.array_equal(np.array([port(x) for x in xs]), oracle(xs))
-
-    def test_gammaln_at_student_arguments(self):
-        """The Student normalizer's arguments: dof / 2 and (dof + d) / 2."""
-        xs = [DOF / 2.0] + [(DOF + d) / 2.0 for d in range(1, 20001)]
-        self.assert_port_matches(_special.gammaln, gammaln, xs)
-
-    def test_gammaln_at_uniform_draws(self):
-        xs = np.random.default_rng(50).uniform(0.01, 5000.0, 2 * 10 ** 5)
-        self.assert_port_matches(_special.gammaln, gammaln, xs)
-
-    def test_gammaln_exact_branch_at_two(self):
-        """(3 + 1) / 2 = 2 lands on the recurrence's exact branch, log(1)."""
-        assert _special.gammaln(2.0) == gammaln(2.0) == 0.0
 
 
 class TestEstimateKappa:
@@ -492,11 +486,11 @@ class TestEstimateOmega:
         assert sum(hidden) > 0
 
     def test_benchmark_constants_pinned_and_batched(self, monkeypatch):
-        """The benchmark's d=7, 8-restart constants at seed 1001: omega keeps
-        the float the one-point-at-a-time scipy search gave, from at most
-        1400 batched log_weight calls in the maximization, one an iteration
-        plus one a shrink (about 10^4 one point at a time, 2,438 with a
-        call for each phase); kappa is the max-shifted plug-in's."""
+        """The benchmark's d=7, 8-restart constants at seed 1001, pinned:
+        omega from at most 1400 batched log_weight calls in the maximization,
+        one an iteration plus one a shrink (about 10^4 one point at a time,
+        2,438 with a call for each phase); kappa is the max-shifted
+        plug-in's."""
         from brsnis import cli
         config = cli.read_section("bounds", cli.load_config(
             str(ROOT / "configs" / "mixture_bounds.json"),
@@ -513,7 +507,7 @@ class TestEstimateOmega:
         monkeypatch.setattr(cli, "estimate_omega", counted)
         built = cli.build_model(config["model"])
         assert cli.resolve_constants(config, built) == \
-            (30819.35554052846, 1220.0844336782836, True)
+            (30819.355540528406, 1220.0844336782836, True)
         assert 0 < len(calls) <= 1400
 
 
@@ -838,9 +832,10 @@ def mixture_block_cases():
 
 class TestMixtureRowBlocks:
     """The mixture's log weight runs in row blocks of ``_block_rows(dim)``
-    rows above one block, each block coordinate-major with numpy's pairwise
-    row sums, and its proposal scales the normals in place, with every bit
-    unchanged."""
+    rows above one block, each block coordinate-major, within the summation
+    bound of the scipy formula and with the bits of the rows around each block
+    edge evaluated unblocked; its proposal scales the normals in place, with
+    every bit unchanged."""
 
     @pytest.mark.parametrize("n, dim", mixture_block_cases())
     def test_matches_unblocked_formulas(self, n, dim):
@@ -851,20 +846,11 @@ class TestMixtureRowBlocks:
         z = rng.standard_normal((n, dim))
         g = rng.chisquare(DOF, n)
         assert np.array_equal(points, z * np.sqrt(DOF / g)[:, None])
-        assert np.array_equal(model.log_weight(points), scipy_log_weight(spec, points))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 300])
-    def test_coordinate_sums_match_row_sums(self, n):
-        """Each column of the coordinate-major sum has the bits of
-        ``sum(axis=1)`` on the same row, for both components stacked or one
-        alone, on signed terms spread over e^-15 to e^15."""
-        rng = np.random.default_rng(60 + n)
-        for dim in [*range(1, 140), 200, 257, 300, 513]:
-            rows = rng.choice([-1.0, 1.0], (2, n, dim)) * np.exp(rng.uniform(-15, 15, (2, n, dim)))
-            expected = rows.sum(axis=-1)
-            columns = np.ascontiguousarray(rows.transpose(0, 2, 1))
-            assert np.array_equal(brsnis.model._coordinate_sums(columns), expected), dim
-            assert np.array_equal(brsnis.model._coordinate_sums(columns[0]), expected[0]), dim
+        log_weights = model.log_weight(points)
+        assert_matches_scipy_formula(spec, points, log_weights)
+        for rows in brsnis.model.row_blocks(n, dim):
+            edge = slice(max(rows.start - 2, 0), rows.start + 2)
+            assert np.array_equal(model.log_weight(points[edge]), log_weights[edge])
 
     def test_propose_peak_memory(self):
         """The Student scale is built in place: the normals and one n-vector,
