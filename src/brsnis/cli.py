@@ -514,24 +514,14 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
 
 def _reference_predictive(log_weights: np.ndarray, points: np.ndarray,
                           x_test: np.ndarray) -> np.ndarray:
-    """``snis_estimate(log_weights, logistic_predictive(points, x_test))`` bit
-    for bit, in O(block x test points) memory.
-
-    numpy sums an ``(n, q)`` array over axis 0 one row after another when
-    q > 1, so each block's weighted rows go below a carry row holding the sum
-    of the blocks before them.  A single column it sums pairwise; that case
-    takes one block of n rows.
-    """
+    """The SNIS predictive ``snis_estimate(log_weights, logistic_predictive(points,
+    x_test))`` in O(block x test points) memory: the normalized weights times
+    the predictive, summed over row blocks of the draws."""
     weights = normalize_weights(log_weights)
-    n, q = len(weights), len(x_test)
-    blocks = row_blocks(n, q) if q > 1 else [slice(0, n)]
-    buf = np.empty((max(rows.stop - rows.start for rows in blocks) + 1, q))
-    for i, rows in enumerate(blocks):
-        b = rows.stop - rows.start
-        np.multiply(weights[rows, None], logistic_predictive(points[rows], x_test),
-                    out=buf[1:b + 1])
-        buf[0] = buf[(1 if i == 0 else 0):b + 1].sum(axis=0)
-    return buf[0].copy()
+    out = np.zeros(len(x_test))
+    for rows in row_blocks(len(weights), len(x_test)):
+        out += weights[rows] @ logistic_predictive(points[rows], x_test)
+    return out
 
 
 def _diagnose_tv(config: dict, built: BuiltModel, section: dict,

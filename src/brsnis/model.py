@@ -9,17 +9,18 @@ scale for the logistic model), whose heavy tails keep both weights bounded.
 
 The logistic likelihood sums softplus terms log(1 + exp(-z)).  They are
 computed in the stable form log1p(exp(-|z|)) - min(z, 0) from numpy's
-vectorized ``exp`` and ``log1p``, in place on reused row-block buffers,
-rather than with ``np.logaddexp(0, -z)``, which numpy runs as a scalar libm
-loop several times slower.  The two agree to a few ulp, not bit for bit.
+vectorized ``exp`` and ``log1p``, in place on each row block, rather than
+with ``np.logaddexp(0, -z)``, which numpy runs as a scalar libm loop
+several times slower.  The two agree to a few ulp, not bit for bit.
 
 The mixture's log weight runs coordinate-major: each row block is copied to
 ``(dim, n)`` and the squared distances to both component centers are summed
 over the coordinates in one reduction, so numpy's loops run along the rows
 rather than along a row only ``dim`` wide.  It matches the row-major scipy
-formula to the rounding error of a recursive sum, not bit for bit.  In both
-models a lone row is evaluated as a two-row block, so no row's bits depend
-on its batch.
+formula to the rounding error of a recursive sum, not bit for bit.  Both
+models' log weights walk their rows in one blocking, ``_by_row_blocks``, in
+which a one-row block is evaluated as two rows, so no row's bits depend on
+its batch.
 
 No command loads scipy.  The Student normalizer takes ``math.lgamma``, the
 box probabilities ``math.erfc``, and the weight constants sum weights shifted
@@ -129,10 +130,6 @@ class CountingModel:
         self.proposal_draws += n
         return self.base.propose(rng, n)
 
-    @property
-    def target_sample(self):
-        return self.base.target_sample
-
 
 def indicator_difference(rect_a: np.ndarray, rect_b: np.ndarray) -> TestFunction:
     """Test function 1_A(x) - 1_B(x) for two axis-aligned boxes.
@@ -164,31 +161,29 @@ def _block_rows(width: int) -> int:
 
 
 def row_blocks(n: int, width: int) -> list[slice]:
-    """Consecutive slices of at most ``_block_rows(width) + 1`` rows covering
-    range(n).
-
-    A lone last row joins the block before it: BLAS computes a one-row
-    product with its matrix-vector kernel, whose bits can differ from the
-    same row of a larger product, while blocks of two or more rows give
-    every row of the unblocked product bit for bit.
-    """
-    starts = list(range(0, n, _block_rows(width)))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    """Consecutive slices of ``_block_rows(width)`` rows covering range(n),
+    the last holding what remains."""
+    rows = _block_rows(width)
+    return [slice(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
-def _lone_row_as_pair(log_weight: Callable) -> Callable:
-    """``log_weight`` on points read as float ``(n, dim)`` rows, a lone row
-    evaluated as a two-row block.  numpy sums a one-row reduction pairwise
-    and BLAS takes its matrix-vector kernel for a one-row product, so a
-    lone row could get other bits than the same row of any batch."""
-    def batched(points):
+def _by_row_blocks(block_fn: Callable, width: int) -> Callable:
+    """A ``log_weight`` that reads points as float ``(n, dim)`` rows and
+    evaluates ``block_fn`` on each block of ``row_blocks(n, width)``, so a
+    large batch runs in bounded memory.  A one-row block is evaluated as two
+    rows: numpy sums a one-row reduction pairwise and BLAS takes its
+    matrix-vector kernel for a one-row product, so a lone row could get other
+    bits than the same row of a larger block.  Rows are independent, so no
+    row's bits depend on its batch."""
+    def log_weight(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if len(points) == 1:
-            return log_weight(np.repeat(points, 2, axis=0))[:1]
-        return log_weight(points)
-    return batched
+        out = np.empty(len(points))
+        for rows in row_blocks(len(points), width):
+            block = points[rows]
+            out[rows] = (block_fn(np.repeat(block, 2, axis=0))[:1] if len(block) == 1
+                         else block_fn(block))
+        return out
+    return log_weight
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +308,6 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
     student_const = (math.lgamma((_STUDENT_DOF + dim) / 2.0)
                      - math.lgamma(_STUDENT_DOF / 2.0)
                      - 0.5 * dim * np.log(_STUDENT_DOF * np.pi))
-    block = _block_rows(dim)
 
     def block_log_weight(points):
         # Both components' squared distances in one coordinate-major buffer.
@@ -321,17 +315,6 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
         np.multiply(diff, diff, out=diff)
         c0, c1 = comp_consts - np.add.reduce(diff, axis=1) / two_var
         return _log_add_exp(c0, c1) - (student_const + _student_log_kernel(points))
-
-    @_lone_row_as_pair
-    def log_weight(points):
-        # Rows are independent, so blocks give the unblocked bits in bounded
-        # memory; a batch of one block skips the copy and the loop.
-        if len(points) <= block + 1:
-            return block_log_weight(points)
-        out = np.empty(len(points))
-        for rows in row_blocks(len(points), dim):
-            out[rows] = block_log_weight(points[rows])
-        return out
 
     def propose(rng, n):
         return _student_draws(rng, n, dim)
@@ -341,8 +324,8 @@ def make_gaussian_mixture(spec: MixtureSpec) -> ModelSpec:
         z = rng.standard_normal((n, dim))
         return spec.means[comp] + sd * z
 
-    return ModelSpec(dim=dim, log_weight=log_weight, propose=propose,
-                     target_sample=target_sample)
+    return ModelSpec(dim=dim, log_weight=_by_row_blocks(block_log_weight, dim),
+                     propose=propose, target_sample=target_sample)
 
 
 def mixture_rectangle_probability(spec: MixtureSpec, rect: np.ndarray) -> float:
@@ -427,8 +410,8 @@ def synthetic_logistic_data(rng: np.random.Generator, dim: int, n_obs: int,
     return x, y
 
 
-def _log_posterior(spec: LogisticPosteriorSpec, signed: np.ndarray, theta: np.ndarray,
-                   margins: np.ndarray, softplus: np.ndarray) -> np.ndarray:
+def _log_posterior(spec: LogisticPosteriorSpec, signed: np.ndarray,
+                   theta: np.ndarray) -> np.ndarray:
     """Unnormalized log posterior of a block of rows ``theta``: log-likelihood
     plus the normalized Gaussian prior log density.
 
@@ -438,18 +421,14 @@ def _log_posterior(spec: LogisticPosteriorSpec, signed: np.ndarray, theta: np.nd
     adds -log(1 + exp(-z)), evaluated as log1p(exp(-|z|)) - min(z, 0): exp
     never overflows, the form is exact in both tails, and numpy runs its
     SIMD ``exp`` and ``log1p`` where ``np.logaddexp`` takes a scalar libm
-    loop.  The margins and their softplus are written into the first
-    ``len(theta)`` rows of the ``(rows, n_obs)`` buffers ``margins`` and
-    ``softplus``, each row by the unblocked expressions, so no bit depends
-    on the blocking.
+    loop.  The margins and their softplus are the block's two ``(len(theta),
+    n_obs)`` arrays; every step after the product runs in place.
     """
-    b = len(theta)
     dim = spec.dim
     tau2 = spec.prior_precision
     lp = 0.5 * dim * np.log(tau2 / (2.0 * np.pi)) - 0.5 * tau2 * (theta ** 2).sum(axis=1)
-    z = np.matmul(theta, signed, out=margins[:b])
-    sp = softplus[:b]
-    np.abs(z, out=sp)
+    z = theta @ signed
+    sp = np.abs(z)
     np.negative(sp, out=sp)
     np.exp(sp, out=sp)
     np.log1p(sp, out=sp)
@@ -497,25 +476,16 @@ def make_logistic_posterior(spec: LogisticPosteriorSpec) -> ModelSpec:
     likelihood sums the stable softplus form
     log1p(exp(-|z|)) - min(z, 0) of log(1 + exp(-z)) (see ``_log_posterior``):
     it matches ``np.logaddexp(0, -z)`` to a few ulp at numpy's vector speed.
+    Each row block of ``_by_row_blocks`` gets its log posterior less the
+    proposal's log kernel, so no ``(n, n_obs)`` temporary is made.
     """
     mean, var_diag = laplace_proposal(spec)
     sd_diag = np.sqrt(var_diag)
     signed = (spec.covariates * spec.responses[:, None]).T
-    block = _block_rows(spec.n_obs)
 
-    @_lone_row_as_pair
-    def log_weight(theta):
-        # One pass over cache-sized row blocks: each block's log posterior,
-        # on two reused (block x n_obs) buffers, less the proposal's log
-        # kernel, so no (n, dim) or (n, n_obs) temporary is made.
-        out = np.empty(len(theta))
-        shape = (min(len(theta), block + 1), spec.n_obs)
-        margins, softplus = np.empty(shape), np.empty(shape)
-        for rows in row_blocks(len(theta), spec.n_obs):
-            t = theta[rows]
-            out[rows] = (_log_posterior(spec, signed, t, margins, softplus)
-                         - _student_log_kernel((t - mean) / sd_diag))
-        return out
+    def block_log_weight(theta):
+        return (_log_posterior(spec, signed, theta)
+                - _student_log_kernel((theta - mean) / sd_diag))
 
     def propose(rng, n):
         z = _student_draws(rng, n, spec.dim)
@@ -523,7 +493,8 @@ def make_logistic_posterior(spec: LogisticPosteriorSpec) -> ModelSpec:
         z += mean
         return z
 
-    return ModelSpec(dim=spec.dim, log_weight=log_weight, propose=propose)
+    return ModelSpec(dim=spec.dim, log_weight=_by_row_blocks(block_log_weight, spec.n_obs),
+                     propose=propose)
 
 
 def logistic_predictive(theta: np.ndarray, covariates: np.ndarray) -> np.ndarray:

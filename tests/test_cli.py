@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 import brsnis.model
 from brsnis import (CountingModel, LogisticPosteriorSpec, cli, logistic_predictive,
-                    make_logistic_posterior, mixing_rate, snis_estimate,
+                    make_logistic_posterior, mixing_rate, normalize_weights,
                     synthetic_logistic_data)
 from brsnis.cli import _write_outputs, main, replication_rng, seed_fingerprint
 
@@ -494,13 +495,14 @@ class TestDiagnoseCommand:
     def test_tv_reference_clipped_to_probabilities(self, tmp_path, monkeypatch):
         """With a sharp posterior the SNIS reference predictive rounds a few
         ulp above 1 at some test points; the run used to exit 3 with
-        "probabilities must be finite and lie in [0, 1]"."""
+        "probabilities must be finite and lie in [0, 1]".  At seed 2 the
+        reference reads 1 + 2.2e-16 at one test point."""
         references = []
         reference = cli._reference_predictive
         monkeypatch.setattr(cli, "_reference_predictive",
                             lambda *args: references.append(reference(*args)) or references[-1])
         assert main(["diagnose", "--config", str(ROOT / "configs" / "logistic_tv.json"),
-                     "--seed", "1", "--out", str(tmp_path / "tv.csv"),
+                     "--seed", "2", "--out", str(tmp_path / "tv.csv"),
                      "--override", "model.theta_star=[20,20,20,20,20]",
                      "--override", "model.n_obs=2000",
                      "--override", "diagnostic.replications=3",
@@ -571,19 +573,20 @@ class TestDiagnoseCommand:
         (2 * ROWS[200] + 3, 200), (ROWS[7] + 1, 7), (ROWS[1] + 5, 1),
         (8195, 200), (4097, 7), (4101, 1)])
     def test_tv_reference_matches_snis_estimate(self, draws, test_points):
-        """Bit for bit the unblocked SNIS reference, with a last block of
-        three rows, a lone last row (blocks of ``_block_rows(test points)``
-        rows), a single (pairwise-summed) column, which is not blocked, and
-        batches of a few to a few dozen blocks."""
+        """Within 1e-14 of the exact weighted sum of the SNIS reference, with
+        a last block of three rows, a lone last row (blocks of
+        ``_block_rows(test points)`` rows), a single column, and batches of a
+        few to a few dozen blocks."""
         rng = np.random.default_rng(31)
         x, y = synthetic_logistic_data(rng, 3, 40, np.array([1.0, -1.0, 0.5]))
         model = make_logistic_posterior(LogisticPosteriorSpec(x, y, 0.05))
         points = model.propose(rng, draws)
         x_test = rng.standard_normal((test_points, 3))
         log_weights = model.log_weight(points)
-        expected = snis_estimate(log_weights, logistic_predictive(points, x_test))
-        assert np.array_equal(cli._reference_predictive(log_weights, points, x_test),
-                              expected)
+        terms = normalize_weights(log_weights)[:, None] * logistic_predictive(points, x_test)
+        exact = np.array([math.fsum(column) for column in terms.T])
+        np.testing.assert_allclose(cli._reference_predictive(log_weights, points, x_test),
+                                   exact, rtol=0, atol=1e-14)
 
     def test_sw_requires_target_sampler(self, tmp_path):
         config = write_config(tmp_path, {

@@ -74,8 +74,7 @@ def out_of_place_proposal_logpdf(spec, theta):
 def log_posterior(spec, theta):
     """The model's log posterior of ``theta``, computed as one row block."""
     signed = (spec.covariates * spec.responses[:, None]).T
-    margins, softplus = np.empty((2, len(theta), spec.n_obs))
-    return brsnis.model._log_posterior(spec, signed, theta, margins, softplus)
+    return brsnis.model._log_posterior(spec, signed, theta)
 
 
 def unblocked_logistic_log_weight(spec, theta, softplus=stable_softplus):
@@ -647,15 +646,14 @@ def block_cases(width):
 
 
 def assert_blocks_cover_rows(n, width):
-    """``row_blocks(n, width)`` covers range(n) in order with blocks of
-    ``_block_rows(width)`` rows, the last holding two to one more rows."""
+    """``row_blocks(n, width)`` covers range(n) in order, every block but the
+    last with exactly ``_block_rows(width)`` rows."""
     rows = brsnis.model._block_rows(width)
     blocks = brsnis.model.row_blocks(n, width)
     assert [i for block in blocks for i in range(n)[block]] == list(range(n))
     sizes = [block.stop - block.start for block in blocks]
     assert all(size == rows for size in sizes[:-1])
-    assert all(size <= rows + 1 for size in sizes)
-    assert n <= 1 or min(sizes) >= 2  # no one-row product in a batch
+    assert n == 0 or 1 <= sizes[-1] <= rows
 
 
 # Batch sizes that span a dozen or more blocks of n_obs = 200 rows.
@@ -782,8 +780,8 @@ class TestLogisticInPlace:
                               - out_of_place_proposal_logpdf(spec, theta))
 
     def test_log_weight_peak_memory(self, logistic):
-        """One margin block and one softplus buffer at a time: below three
-        (block + 1) x n_obs float64 arrays on three blocks of rows."""
+        """One block's margins and softplus at a time: below three (block +
+        1) x n_obs float64 arrays on three blocks of rows."""
         spec, model = logistic
         theta = model.propose(np.random.default_rng(46), 2 * self.BLOCK + 3)
         tracemalloc.start()
@@ -796,9 +794,9 @@ class TestLogisticInPlace:
 
     def test_log_weight_large_batch_peak_memory(self, logistic):
         """The prior term and the proposal kernel run in the same row blocks
-        as the likelihood: at 10^5 rows the pass holds the two block buffers,
-        block-sized temporaries and the output, below three (block + 1) x
-        n_obs arrays plus two n-vectors.  One (n, dim) temporary of either
+        as the likelihood: at 10^5 rows the pass holds one block's margins
+        and softplus, block-sized temporaries and the output, below three
+        (block + 1) x n_obs arrays plus two n-vectors.  One (n, dim) temporary of either
         term alone, 4 MB here, would exceed that."""
         spec, model = logistic
         n = 10 ** 5
@@ -832,10 +830,10 @@ def mixture_block_cases():
 
 class TestMixtureRowBlocks:
     """The mixture's log weight runs in row blocks of ``_block_rows(dim)``
-    rows above one block, each block coordinate-major, within the summation
-    bound of the scipy formula and with the bits of the rows around each block
-    edge evaluated unblocked; its proposal scales the normals in place, with
-    every bit unchanged."""
+    rows, each block coordinate-major, within the summation bound of the
+    scipy formula and with the bits of the rows around each block edge
+    evaluated unblocked; its proposal scales the normals in place, with every
+    bit unchanged."""
 
     @pytest.mark.parametrize("n, dim", mixture_block_cases())
     def test_matches_unblocked_formulas(self, n, dim):
