@@ -16,7 +16,7 @@ from .bounds import (BoundConstants, bound_constants, mixing_rate, mixing_time,
 from .diagnostics import (ReplicationSummary, coverage_check, fit_geometric_rate,
                           lag_covariance, replication_stats, sliced_wasserstein,
                           tv_predictive)
-from .isir import RollingConfig, run_chain, run_chains
+from .isir import RollingConfig, run_chain
 from .model import (CountingModel, LogisticPosteriorSpec, MixtureSpec, ModelSpec,
                     NewtonConvergenceError, TestFunction, UnboundedWeightError,
                     benchmark_mixture, estimate_kappa, estimate_omega,
@@ -44,7 +44,7 @@ __all__ = [
     "mixture_rectangle_probability", "mixture_test_function", "mixture_truth",
     "normalize_weights", "pool_bias_bound", "pool_cov_bound", "pool_mse_bound",
     "replication_stats", "rolling_bias_bound", "rolling_estimate",
-    "rolling_hpd_bound", "rolling_mse_bound", "run_chain", "run_chains",
+    "rolling_hpd_bound", "rolling_mse_bound", "run_chain",
     "sliced_wasserstein", "snis_bias_bound", "snis_estimate", "snis_hpd_bound",
     "snis_mse_bound", "synthetic_logistic_data", "tv_predictive",
 ]

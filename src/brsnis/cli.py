@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .diagnostics import (fit_geometric_rate, replication_stats, sliced_wasserstein,
                           tv_predictive)
-from .isir import RollingConfig, run_chain, run_chains
+from .isir import RollingConfig, run_chain
 from .model import (CountingModel, LogisticPosteriorSpec, ModelSpec, TestFunction,
                     benchmark_mixture, estimate_kappa, estimate_omega,
                     logistic_predictive, make_gaussian_mixture,
@@ -482,7 +482,8 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
     summary = {"omega": omega, "omega_estimated": estimated, "per_n": []}
     for gi, n in enumerate(section["N"]):
         def one(rng):
-            _, states = run_chains(model, built.f, n, k_max, model.propose(rng, chains), rng)
+            _, states = run_chain(model, built.f, RollingConfig(n, k_max, 0), rng,
+                                  starts=model.propose(rng, chains))
             reference = model.target_sample(rng, chains)
             return [sliced_wasserstein(states[:, k], reference, section["projections"],
                                        _stream_rng(seed, _REFERENCE_STREAM))

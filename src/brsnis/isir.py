@@ -1,4 +1,4 @@
-"""The iterated sampling-importance-resampling Markov kernel and chain runners.
+"""The iterated sampling-importance-resampling Markov kernel and its chain runner.
 
 One kernel step puts the current state in an N-point candidate pool with
 N-1 fresh proposal draws and selects the next state by one categorical draw
@@ -6,18 +6,17 @@ over the normalized pool weights.  Every pool also yields a recycled
 estimate: the self-normalized estimate over all N candidates, which is what
 the rolling estimators average.
 
-``run_chains`` runs many chains in lockstep from the initial states it is
-given, off one shared generator or off one generator per chain.  It keeps
-the state first in every pool and draws no insertion slot: the selection
-and the recycled estimate are symmetric in the pool's points, so no law
-depends on the layout, and a fixed slot needs no draw and no per-chain
-gather.  ``test_agrees_with_sequential_runner`` checks this against
-``isir_step`` in ``tests/oracles.py``, a step-by-step reference that draws a
-uniform slot.  ``run_chain`` runs a batch of replications: one chain per
-generator, each started from one proposal draw on its own generator, so a
-chain's stream does not depend on the batch it runs in.  Both return the
-tuple ``(recycled, states)``, each with a leading chain axis, and
-``RollingConfig`` holds the schedule of the chain estimators.
+``run_chain`` runs many chains in lockstep, off one shared generator or off
+one generator per chain, from the initial states it is given.  Without
+them, each chain starts from one proposal draw on its own generator, so a
+replication's stream does not depend on the batch it runs in.  It keeps the
+state first in every pool and draws no insertion slot: the selection and
+the recycled estimate are symmetric in the pool's points, so no law depends
+on the layout, and a fixed slot needs no draw and no per-chain gather.
+``test_agrees_with_sequential_runner`` checks this against ``isir_step`` in
+``tests/oracles.py``, a step-by-step reference that draws a uniform slot.
+It returns the tuple ``(recycled, states)``, each with a leading chain axis,
+and ``RollingConfig`` holds the schedule of the chain estimators.
 """
 
 from __future__ import annotations
@@ -52,25 +51,30 @@ class RollingConfig:
             raise ValueError("burn_in must lie in [0, n_iters)")
 
 
-def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: int,
-               starts: np.ndarray,
-               rng: np.random.Generator | Sequence[np.random.Generator]
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Run one chain per row of ``starts`` in lockstep.
+def run_chain(model: ModelSpec, f: TestFunction, cfg: RollingConfig,
+              rng: np.random.Generator | Sequence[np.random.Generator],
+              starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Run one chain per row of ``starts`` in lockstep, with pool size
+    ``cfg.n_candidates`` for ``cfg.n_iters`` steps.
 
     ``rng`` is one generator shared by all chains, or one generator per
     chain.  Per iteration a shared generator gives all chains' N - 1
     proposal draws, then one selection uniform per chain; chain c's own
-    generator gives its N - 1 draws, then its one uniform.  Either way one
-    ``log_weight`` and one ``f`` call take all chains' draws, and ``starts``
-    is left unmodified.  Returns the recycled estimates
-    ``(chains, iters[, q])`` and the states Y_0..Y_k
-    ``(chains, iters + 1, dim)``.
+    generator gives its N - 1 draws, then its one uniform.  Without
+    ``starts``, chain c starts from ``model.propose(rng[c], 1)``, so its
+    stream is that of a lone chain on ``rng[c]`` whatever the batch; a
+    shared generator needs ``starts``.  Either way one ``log_weight`` and
+    one ``f`` call take all chains' draws, and ``starts`` is left
+    unmodified.  Returns the recycled estimates ``(chains, iters[, q])``,
+    ``recycled[c, l]`` being chain c's pool-l SNIS estimate, and the states
+    Y_0..Y_k ``(chains, iters + 1, dim)``.
     """
-    if n_candidates < 2 or n_iters < 1:
-        raise ValueError("a chain needs n_candidates >= 2 and n_iters >= 1")
-    n_chains = len(starts)
     shared = isinstance(rng, np.random.Generator)
+    if starts is None:
+        if shared:
+            raise ValueError("a shared generator needs explicit starts")
+        starts = np.concatenate([model.propose(g, 1) for g in rng])
+    n_chains, n_iters = len(starts), cfg.n_iters
     if not shared and len(rng) != n_chains:
         raise ValueError("need one generator per chain")
     state_lw, f0 = model.log_weight(starts), f(starts)
@@ -80,7 +84,7 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
     # with one column the sums below are bitwise those of the 2-D arrays.
     # The copy keeps the moves below out of an f that returns a view.
     state_fv = f0.reshape(n_chains, -1).copy()
-    m = n_candidates - 1
+    m = cfg.n_candidates - 1
     recycled = np.empty((n_chains, n_iters, state_fv.shape[1]))
     states = np.empty((n_chains, n_iters + 1, model.dim))
     states[:, 0] = starts
@@ -106,13 +110,3 @@ def run_chains(model: ModelSpec, f: TestFunction, n_candidates: int, n_iters: in
         states[:, step + 1] = states[:, step]
         states[moved, step + 1] = fresh.reshape(n_chains, m, model.dim)[moved, cols]
     return recycled[:, :, 0] if f0.ndim == 1 else recycled, states
-
-
-def run_chain(model: ModelSpec, f: TestFunction, cfg: RollingConfig,
-              rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Run one chain per generator, each started from ``model.propose(g, 1)``
-    on its own generator ``g``: ``run_chains`` with one generator per chain.
-    Chain c's stream is that of a lone chain on ``rngs[c]``, whatever the
-    batch; ``recycled[c, l]`` is chain c's pool-l SNIS estimate."""
-    starts = np.concatenate([model.propose(g, 1) for g in rngs])
-    return run_chains(model, f, cfg.n_candidates, cfg.n_iters, starts, rngs)

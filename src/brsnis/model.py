@@ -47,11 +47,7 @@ class UnboundedWeightError(RuntimeError):
 
 
 class NewtonConvergenceError(RuntimeError):
-    """Raised when the Newton mode search fails; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: np.ndarray):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Raised when the Newton mode search fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -463,7 +459,7 @@ def laplace_proposal(spec: LogisticPosteriorSpec,
         theta = theta + np.linalg.solve(hess, grad)
     raise NewtonConvergenceError(
         f"mode search did not reach gradient tolerance {grad_tol} "
-        f"within {max_iter} iterations", theta)
+        f"within {max_iter} iterations")
 
 
 def make_logistic_posterior(spec: LogisticPosteriorSpec) -> ModelSpec:

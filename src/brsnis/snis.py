@@ -45,9 +45,11 @@ def snis_estimate(log_weights: np.ndarray, f_values: np.ndarray) -> float | np.n
 
     ``f_values`` may be ``(n,)`` for a scalar test function, giving a float,
     or ``(n, q)`` for ``q`` functions sharing the same weights, giving an
-    array of per-column estimates.  The weighted sum uses numpy's pairwise
-    accumulation, keeping the floating error negligible against bias
-    measurements even for very large sample counts.
+    array of per-column estimates.  The weighted sum of one column is
+    numpy's pairwise sum; the ``(n, q)`` sum along axis 0 adds each column's
+    terms in order, a recursive sum whose rounding error grows with n (up to
+    2.4e-14 against ``math.fsum`` at n = 10**6), still negligible against
+    bias measurements.
     """
     lw = np.asarray(log_weights, dtype=float).ravel()
     fv = np.asarray(f_values, dtype=float)

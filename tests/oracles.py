@@ -3,7 +3,7 @@
 ``isir_step`` is the step-by-step kernel: it draws a uniform insertion slot
 for the state, then N-1 proposals, then one selection uniform, and picks the
 next state by ``categorical_draw``.  The library's lockstep runner
-``run_chains`` keeps the state first in every pool and draws no slot; the
+``run_chain`` keeps the state first in every pool and draws no slot; the
 tests use ``isir_step`` as the oracle that no law depends on that layout.
 ``key_relation_check`` is a Monte Carlo check of the one-step pool-mean
 identity; it reads only the model.

@@ -21,7 +21,7 @@ from brsnis import (benchmark_mixture, bootstrap_br_snis, bound_constants,
                     make_logistic_posterior, mixture_test_function,
                     mixture_truth, pool_bias_bound, pool_cov_bound, pool_mse_bound,
                     replication_stats, rolling_bias_bound, rolling_estimate,
-                    rolling_hpd_bound, rolling_mse_bound, run_chains, sliced_wasserstein,
+                    rolling_hpd_bound, rolling_mse_bound, run_chain, sliced_wasserstein,
                     snis_bias_bound, snis_estimate, snis_hpd_bound,
                     snis_mse_bound, synthetic_logistic_data)
 from brsnis import (CachedSampleBank, LogisticPosteriorSpec, ModelSpec,
@@ -95,7 +95,8 @@ def cold_chain_runs(mixture2):
     runs = {}
     for tag, n in enumerate((8, 32, 128)):
         rng = rng_for(200 + tag)
-        runs[n], _ = run_chains(model, f, n, 20, model.propose(rng, 10 ** 4), rng)
+        runs[n], _ = run_chain(model, f, RollingConfig(n, 20, 0), rng,
+                               starts=model.propose(rng, 10 ** 4))
     return runs
 
 
@@ -103,7 +104,8 @@ class TestStationaryUnbiasedness:
     def test_single_step_recycled_estimates_center_on_truth(self, mixture2):
         _, model, f, truth = mixture2
         rng = rng_for(1)
-        recycled, _ = run_chains(model, f, 32, 1, model.target_sample(rng, 10 ** 5), rng)
+        recycled, _ = run_chain(model, f, RollingConfig(32, 1, 0), rng,
+                                starts=model.target_sample(rng, 10 ** 5))
         values = recycled[:, 0]
         se = values.std(ddof=1) / np.sqrt(len(values))
         gap = abs(values.mean() - truth)
@@ -318,7 +320,8 @@ class TestHighProbabilityCoverage:
         omega, kappa = constants2
         n, k, k0, delta = 32, 20, 10, 0.1
         rng = rng_for(6)
-        recycled, _ = run_chains(model, f, n, k, model.propose(rng, 10 ** 4), rng)
+        recycled, _ = run_chain(model, f, RollingConfig(n, k, 0), rng,
+                                starts=model.propose(rng, 10 ** 4))
         rolling = rolling_estimate(recycled, k0)
         consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), n)
         bound = rolling_hpd_bound(consts, delta, k0, k) * f.sup_bound
@@ -405,7 +408,8 @@ class TestKernelInvariants:
         unit = TestFunction(fn=lambda pts: np.ones(len(pts)), sup_bound=1.0)
         n_flat, steps = 16, 10 ** 5
         rng = rng_for(10)
-        _, states = run_chains(flat, unit, n_flat, 1, flat.propose(rng, steps), rng)
+        _, states = run_chain(flat, unit, RollingConfig(n_flat, 1, 0), rng,
+                              starts=flat.propose(rng, steps))
         kept = np.all(states[:, 1] == states[:, 0], axis=1)
         p_keep = 1.0 / n_flat
         retention_gap = abs(kept.mean() - p_keep)
@@ -476,7 +480,8 @@ class TestSlicedWassersteinMixing:
             rng = rng_for(300 + tag)
             sw = np.empty((groups, k_max + 1))
             for g in range(groups):
-                _, states = run_chains(model, f, n, k_max, model.propose(rng, chains), rng)
+                _, states = run_chain(model, f, RollingConfig(n, k_max, 0), rng,
+                                      starts=model.propose(rng, chains))
                 reference = model.target_sample(rng, chains)
                 for k in range(k_max + 1):
                     # One shared projection set for every slice comparison:

@@ -812,3 +812,14 @@ class TestTraceHooks:
         for layer in ("model.f", "model.log_weight"):
             points = sum(span.work["points"] for span in spans if span.name == layer)
             assert points >= 2000
+
+    def test_tracer_records_sw_chain_spans(self, tmp_path):
+        """``diagnose sw`` runs its chains through ``cli.run_chain``: one
+        span of k_max steps per group and pool size."""
+        tracer_mod = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
+        tracer = tracer_mod["Tracer"]()
+        config = sw_config(tmp_path, N=[4, 8], k_max=3, chains=20, groups=2)
+        with tracer_mod["installed"](tracer):
+            assert main(["diagnose", "--config", config]) == 0
+        assert [span.work["steps"] for span in tracer.spans
+                if span.name == "isir.run_chain"] == [3] * 4

@@ -76,15 +76,16 @@ class TestLagCovariance:
     def test_chain_lag_covariance_under_closed_form_bound(self, mixture2):
         """Recycled-estimate lag covariances respect the closed-form decay
         bound at matching pool size and lag."""
-        from brsnis import (bound_constants, estimate_kappa, estimate_omega,
-                            pool_cov_bound, run_chains)
+        from brsnis import (RollingConfig, bound_constants, estimate_kappa,
+                            estimate_omega, pool_cov_bound, run_chain)
         _, model, f, truth = mixture2
         rng = np.random.default_rng(14)
         log_weights = model.log_weight(model.propose(rng, 2 * 10 ** 5))
         kappa = estimate_kappa(log_weights)
         omega = estimate_omega(model, log_weights, 8, rng)
         chains = 2 * 10 ** 4
-        rec, _ = run_chains(model, f, 16, 6, model.propose(rng, chains), rng)
+        rec, _ = run_chain(model, f, RollingConfig(16, 6, 0), rng,
+                           starts=model.propose(rng, chains))
         consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), 16)
         for lag in (1, 2):
             value = lag_covariance(rec, truth, lag=lag, base_index=3)

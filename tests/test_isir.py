@@ -1,4 +1,4 @@
-"""Kernel step mechanics, chain runners and the one-step pool identity."""
+"""Kernel step mechanics, the chain runner and the one-step pool identity."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from scipy.stats import chisquare
 
 from brsnis import (DegenerateWeightsError, LogisticPosteriorSpec, ModelSpec,
                     RollingConfig, TestFunction, make_logistic_posterior,
-                    normalize_weights, run_chain, run_chains, sliced_wasserstein,
+                    normalize_weights, run_chain, sliced_wasserstein,
                     snis_estimate, synthetic_logistic_data)
 
 
@@ -47,8 +47,9 @@ def table_models(draw):
 
 
 def cold_chains(model, f, n, k, chains, rng):
-    """``run_chains`` from one proposal draw per chain."""
-    return run_chains(model, f, n, k, model.propose(rng, chains), rng)
+    """``run_chain`` on one shared generator from one proposal draw per chain."""
+    return run_chain(model, f, RollingConfig(n, k, 0), rng,
+                     starts=model.propose(rng, chains))
 
 
 def per_pool_replay(model, f, n, k, chains, rng):
@@ -224,29 +225,31 @@ class TestRunChain:
         model = ModelSpec(dim=1, log_weight=lambda x: np.where(x[:, 0] > 0, bad, 0.0),
                           propose=lambda rng, n: rng.standard_normal((n, 1)))
         with pytest.raises(ValueError, match="must not be NaN or \\+inf"):
-            run_chains(model, unit_function(), 4, 2, np.full((3, 1), start),
-                       np.random.default_rng(23))
+            run_chain(model, unit_function(), RollingConfig(4, 2, 0),
+                      np.random.default_rng(23), starts=np.full((3, 1), start))
 
     def test_three_dimensional_f_rejected(self):
         """snis_estimate's rule: an (n, 2, 3) f used to be flattened silently
         into six columns."""
         f = TestFunction(fn=lambda pts: np.zeros((len(pts), 2, 3)), sup_bound=1.0)
         with pytest.raises(ValueError, match="one- or two-dimensional"):
-            run_chains(constant_weight_model(), f, 4, 2, np.zeros((3, 1)),
-                       np.random.default_rng(0))
+            run_chain(constant_weight_model(), f, RollingConfig(4, 2, 0),
+                      np.random.default_rng(0), starts=np.zeros((3, 1)))
 
-    def test_is_run_chains_from_one_proposal_draw(self, mixture2):
-        """Bit for bit ``run_chains`` with one chain started from
-        ``model.propose(rng, 1)`` on the same generator."""
+    def test_default_start_is_one_proposal_draw(self, mixture2):
+        """Without starts, a chain on its own generator is bit for bit the
+        chain started explicitly from ``model.propose(rng, 1)`` on the same
+        generator, shared."""
         _, model, f, _ = mixture2
-        chain = run_chain(model, f, RollingConfig(7, 9, 0), [np.random.default_rng(24)])
+        cfg = RollingConfig(7, 9, 0)
+        chain = run_chain(model, f, cfg, [np.random.default_rng(24)])
         rng = np.random.default_rng(24)
-        batch = run_chains(model, f, 7, 9, model.propose(rng, 1), rng)
+        batch = run_chain(model, f, cfg, rng, starts=model.propose(rng, 1))
         for ours, theirs in zip(chain, batch):
             np.testing.assert_array_equal(ours, theirs)
 
     def test_explicit_and_target_starts(self, mixture2):
-        """``run_chains`` begins at the starts it is given, explicit points or
+        """``run_chain`` begins at the starts it is given, explicit points or
         target draws, and leaves the caller's array as it was, also under an
         f that returns a view of its points."""
         _, model, _, _ = mixture2
@@ -255,18 +258,20 @@ class TestRunChain:
         for starts in (np.array([[0.5, 0.5], [-1.0, 2.0], [3.0, -3.0]]),
                        model.target_sample(rng, 3)):
             given = starts.copy()
-            _, states = run_chains(model, first, 5, 6, starts, rng)
+            _, states = run_chain(model, first, RollingConfig(5, 6, 0), rng, starts=starts)
             np.testing.assert_array_equal(starts, given)
             np.testing.assert_array_equal(states[:, 0], given)
             assert (states[:, -1] != given).any()
 
     def test_config_validation(self, mixture2):
-        """``run_chains`` rejects a pool of one candidate and zero iterations;
-        one candidate used to fail inside a numpy reshape."""
+        """A pool of one candidate or zero iterations is rejected by the
+        ``RollingConfig`` that ``run_chain`` reads; one candidate used to fail
+        inside a numpy reshape."""
         _, model, f, _ = mixture2
-        for n, k in ((1, 5), (4, 0)):
-            with pytest.raises(ValueError, match="n_candidates >= 2 and n_iters >= 1"):
-                run_chains(model, f, n, k, np.zeros((3, 2)), np.random.default_rng(0))
+        for n, k, message in ((1, 5, "n_candidates"), (4, 0, "n_iters")):
+            with pytest.raises(ValueError, match=f"{message} must be at least"):
+                run_chain(model, f, RollingConfig(n, k, 0), np.random.default_rng(0),
+                          starts=np.zeros((3, 2)))
 
 
 class TestRunChains:
@@ -275,7 +280,8 @@ class TestRunChains:
         the analytic truth."""
         _, model, f, truth = mixture2
         rng = np.random.default_rng(12)
-        recycled, _ = run_chains(model, f, 32, 1, model.target_sample(rng, 10 ** 4), rng)
+        recycled, _ = run_chain(model, f, RollingConfig(32, 1, 0), rng,
+                                starts=model.target_sample(rng, 10 ** 4))
         est = recycled[:, 0]
         se = est.std(ddof=1) / np.sqrt(len(est))
         assert abs(est.mean() - truth) <= 4.0 * se
@@ -297,21 +303,30 @@ class TestRunChains:
     def test_per_chain_generators_give_lone_chain_streams(self, mixture2, logistic,
                                                           which, n, chains):
         """With one generator per chain, chain c's run is bitwise what
-        ``run_chains`` gives for chain c alone on its own generator."""
+        ``run_chain`` gives for chain c alone on its own generator."""
         model, f = mixture2[1:3] if which == "mixture" else logistic
         starts = model.propose(np.random.default_rng(30), chains)
         rngs = [np.random.default_rng([31, c]) for c in range(chains)]
-        batch = run_chains(model, f, n, 6, starts, rngs)
+        cfg = RollingConfig(n, 6, 0)
+        batch = run_chain(model, f, cfg, rngs, starts=starts)
         for c in range(chains):
-            lone = run_chains(model, f, n, 6, starts[c:c + 1], np.random.default_rng([31, c]))
+            lone = run_chain(model, f, cfg, np.random.default_rng([31, c]),
+                             starts=starts[c:c + 1])
             for ours, theirs in zip(batch, lone):
                 np.testing.assert_array_equal(ours[c], theirs[0])
 
     def test_one_generator_per_chain_required(self, mixture2):
         _, model, f, _ = mixture2
         with pytest.raises(ValueError, match="one generator per chain"):
-            run_chains(model, f, 4, 2, np.zeros((3, 2)),
-                       [np.random.default_rng(c) for c in range(2)])
+            run_chain(model, f, RollingConfig(4, 2, 0),
+                      [np.random.default_rng(c) for c in range(2)], starts=np.zeros((3, 2)))
+
+    def test_shared_generator_needs_starts(self, mixture2):
+        """Default starts are drawn one per chain generator; one shared
+        generator gives no chain count to draw them for."""
+        _, model, f, _ = mixture2
+        with pytest.raises(ValueError, match="shared generator needs explicit starts"):
+            run_chain(model, f, RollingConfig(4, 2, 0), np.random.default_rng(0))
 
     def test_agrees_with_sequential_runner(self, mixture2):
         """The lockstep runner and iterated reference steps draw from the
@@ -337,7 +352,8 @@ class TestRunChains:
         spec, model, f, _ = mixture2
         rng = np.random.default_rng(15)
         chains = 3000
-        _, states = run_chains(model, f, 16, 1, model.target_sample(rng, chains), rng)
+        _, states = run_chain(model, f, RollingConfig(16, 1, 0), rng,
+                              starts=model.target_sample(rng, chains))
         moved = states[:, 1]
         reference = model.target_sample(rng, chains)
         sw_chain = sliced_wasserstein(moved, reference, 64,

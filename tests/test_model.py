@@ -555,13 +555,12 @@ class TestLaplaceProposal:
         assert np.linalg.norm(mean - grid_mode) <= 0.05  # grid pitch 0.025
         assert np.linalg.norm(mean - theta_star) <= 0.5
 
-    def test_non_convergence_carries_last_iterate(self):
+    def test_non_convergence_raises(self):
         rng = np.random.default_rng(16)
         x, y = synthetic_logistic_data(rng, 4, 100, np.array([2.0, -2.0, 1.0, -1.0]))
         spec = LogisticPosteriorSpec(x, y, prior_precision=0.05)
-        with pytest.raises(NewtonConvergenceError) as err:
+        with pytest.raises(NewtonConvergenceError, match="did not reach gradient tolerance"):
             laplace_proposal(spec, max_iter=1)
-        assert err.value.last_iterate.shape == (4,)
 
 
 class TestLogisticPosteriorModel:
@@ -690,14 +689,21 @@ class TestLogisticRowBlocks:
     @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3,
                                    20 * BLOCK + 1, 4095, 4096, 4097, 8195])
     def test_log_weight_matches_unblocked_formula(self, n):
+        """Where the last block is a lone row (n = 1, BLOCK + 1, 20 BLOCK + 1),
+        40 windows of n rows, so 40 distinct last rows, are checked: a lone
+        row evaluated as one row, in BLAS's matrix-vector kernel, gets other
+        bits in about one row of nine, which one last row would often miss."""
         rng = np.random.default_rng(23)
         x, y = synthetic_logistic_data(rng, 5, self.N_OBS,
                                        np.array([1.0, -0.5, 0.0, 0.5, 2.0]))
         spec = LogisticPosteriorSpec(x, y, prior_precision=0.05)
         model = make_logistic_posterior(spec)
-        theta = model.propose(rng, n)
-        assert np.array_equal(model.log_weight(theta),
-                              unblocked_logistic_log_weight(spec, theta))
+        windows = 40 if n % self.BLOCK == 1 else 1
+        theta = model.propose(rng, n + windows - 1)
+        expected = unblocked_logistic_log_weight(spec, theta)
+        for first in range(windows):
+            rows = slice(first, first + n)
+            assert np.array_equal(model.log_weight(theta[rows]), expected[rows])
 
     def test_lone_row_has_its_batch_bits(self):
         """Each row evaluated alone is bitwise its row of one 400-row call.

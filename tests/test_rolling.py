@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from brsnis import (CachedSampleBank, CountingModel,
                     DegenerateWeightsError, RollingConfig, TestFunction,
                     bootstrap_br_snis, build_sample_bank, normalize_weights,
-                    rolling_estimate, run_chain, run_chains)
+                    rolling_estimate, run_chain)
 
 
 def flat_bank(log_weights, f_values, initial_log_weight, initial_f_value):
@@ -96,6 +96,15 @@ class TestRollingEstimate:
     def test_config_derived_quantities(self):
         with pytest.raises(ValueError):
             RollingConfig(9, 4, 4)
+
+    @pytest.mark.parametrize("n, k, message", [(1, 4, "n_candidates must be at least 2"),
+                                               (9, 0, "n_iters must be at least 1")],
+                             ids=["one-candidate", "no-iterations"])
+    def test_config_rejects_one_candidate_or_no_iterations(self, n, k, message):
+        """A pool needs two candidates and a chain one step; ``RollingConfig``
+        checks both for every chain estimator, ``run_chain`` included."""
+        with pytest.raises(ValueError, match=message):
+            RollingConfig(n, k, 0)
 
 
 class TestBrSnis:
@@ -314,7 +323,8 @@ class TestRollingBounds:
         kappa = estimate_kappa(log_weights)
         omega = estimate_omega(model, log_weights, 8, rng)
         n, k, k0, chains = 17, 16, 8, 5000
-        recycled, _ = run_chains(model, f, n, k, model.propose(rng, chains), rng)
+        recycled, _ = run_chain(model, f, RollingConfig(n, k, 0), rng,
+                                starts=model.propose(rng, chains))
         values = rolling_estimate(recycled, k0)
         consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), n)
         bias = abs(values.mean() - truth)
@@ -331,7 +341,8 @@ class TestBiasTrend:
         _, model, f, truth = mixture2
         n, k, chains = 16, 12, 10 ** 4
         rng = np.random.default_rng(20)
-        recycled, _ = run_chains(model, f, n, k, model.propose(rng, chains), rng)
+        recycled, _ = run_chain(model, f, RollingConfig(n, k, 0), rng,
+                                starts=model.propose(rng, chains))
         biases = {}
         ses = {}
         for burn in (0, k // 2, k - 1):
