@@ -44,7 +44,8 @@ _TEST_POINTS_STREAM = 2 ** 31 + 3
 
 ESTIMATORS = ("snis", "isir-state", "br-snis", "br-snis-bootstrap")
 # The chain estimators run their replications in lockstep chunks of this many
-# chains.  The size is fixed, so no output depends on --threads.
+# chains.  The chunk bounds the size of the lockstep arrays; no output depends
+# on it, nor on --threads.
 _CHAIN_ESTIMATORS = ("isir-state", "br-snis")
 _CHAIN_CHUNK = 64
 MODELS = ("gaussian-mixture", "logistic-synthetic")
@@ -478,6 +479,8 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
     model, chains = built.model, section["chains"]
     # A supplied kappa leaves only omega to estimate, from the pass `bounds` draws.
     omega, _, estimated = resolve_constants({**config, "kappa": 1.0}, built)
+    directions = _stream_rng(seed, _REFERENCE_STREAM).standard_normal(
+        (section["projections"], model.dim))
     rows = []
     summary = {"omega": omega, "omega_estimated": estimated, "per_n": []}
     for gi, n in enumerate(section["N"]):
@@ -485,8 +488,7 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
             _, states = run_chain(model, built.f, RollingConfig(n, k_max, 0), rng,
                                   starts=model.propose(rng, chains))
             reference = model.target_sample(rng, chains)
-            return [sliced_wasserstein(states[:, k], reference, section["projections"],
-                                       _stream_rng(seed, _REFERENCE_STREAM))
+            return [sliced_wasserstein(states[:, k], reference, directions)
                     for k in range(k_max + 1)]
 
         sw_by_k = np.array(_replicate(seed, gi, groups, threads,
@@ -551,27 +553,21 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
             return (snis_estimate(bank.log_weights, bank.f_values),
                     bootstrap_br_snis(bank, cfg, rounds, rng))
 
-        snis_sum = np.zeros(n_test)
-        br_sum = np.zeros(n_test)
-        tv_snis = np.empty(replications)
-        tv_br = np.empty(replications)
-        for r, (p_snis, p_br) in enumerate(_replicate(
-                seed, gi, replications, threads, lambda rngs: [one(rng) for rng in rngs])):
-            snis_sum += p_snis
-            br_sum += p_br
-            tv_snis[r] = tv_predictive(np.clip(p_snis, 0, 1), reference)
-            tv_br[r] = tv_predictive(np.clip(p_br, 0, 1), reference)
-            rows.append(_format_row(["tv", "snis", m, r, float(tv_snis[r])]))
-            rows.append(_format_row(["tv", "br-snis-bootstrap", m, r, float(tv_br[r])]))
+        # (replications, [snis, br-snis-bootstrap], test points)
+        predictives = np.array(_replicate(seed, gi, replications, threads,
+                                          lambda rngs: [one(rng) for rng in rngs]))
+        tv = np.apply_along_axis(tv_predictive, 2, np.clip(predictives, 0, 1), reference)
+        for r, (tv_snis, tv_br) in enumerate(tv.tolist()):
+            rows.append(_format_row(["tv", "snis", m, r, tv_snis]))
+            rows.append(_format_row(["tv", "br-snis-bootstrap", m, r, tv_br]))
+        averaged = np.clip(predictives.mean(axis=0), 0, 1)
         summary["per_budget"].append({
             "M": m, "N": n, "k": k, "rounds": rounds,
             "replications": replications,
-            "mean_tv_snis": float(tv_snis.mean()),
-            "mean_tv_br": float(tv_br.mean()),
-            "tv_of_averaged_predictive_snis": tv_predictive(
-                np.clip(snis_sum / replications, 0, 1), reference),
-            "tv_of_averaged_predictive_br": tv_predictive(
-                np.clip(br_sum / replications, 0, 1), reference),
+            "mean_tv_snis": float(tv[:, 0].mean()),
+            "mean_tv_br": float(tv[:, 1].mean()),
+            "tv_of_averaged_predictive_snis": tv_predictive(averaged[0], reference),
+            "tv_of_averaged_predictive_br": tv_predictive(averaged[1], reference),
         })
     header = "diagnostic,estimator,M,replication,tv"
     return [header] + rows, summary

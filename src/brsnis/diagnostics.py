@@ -83,30 +83,23 @@ def lag_covariance(sequences: np.ndarray, truth: float, lag: int,
 
 
 def sliced_wasserstein(points_a: np.ndarray, points_b: np.ndarray,
-                       n_projections: int, rng: np.random.Generator) -> float:
-    """Mean one-dimensional order-2 Wasserstein distance over random slices.
+                       directions: np.ndarray) -> float:
+    """Mean one-dimensional order-2 Wasserstein distance over the given slices.
 
-    Both clouds are projected onto ``n_projections`` uniform random unit
-    directions; per direction the distance is the root mean squared
-    difference of the sorted projections, and the result averages those
-    per-direction distances.  Unequal cloud sizes are reconciled by
-    uniformly subsampling the larger cloud.
+    Both clouds, of one shape, are projected onto the rows of ``directions``,
+    each scaled to unit length; per direction the distance is the root mean
+    squared difference of the sorted projections, and the result averages
+    those per-direction distances.  Passing one direction set to every call
+    makes the distances comparable.
     """
     a = np.atleast_2d(np.asarray(points_a, dtype=float))
     b = np.atleast_2d(np.asarray(points_b, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("point clouds must share a dimension")
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("point clouds must be non-empty")
-    if n_projections < 1:
-        raise ValueError("n_projections must be at least 1")
-    if len(a) > len(b):
-        a = a[rng.choice(len(a), size=len(b), replace=False)]
-    elif len(b) > len(a):
-        b = b[rng.choice(len(b), size=len(a), replace=False)]
-    dim = a.shape[1]
-    directions = rng.standard_normal((n_projections, dim))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    if a.shape != b.shape or a.size == 0:
+        raise ValueError("point clouds must be non-empty and of one shape")
+    if directions.shape[1] != a.shape[1] or len(directions) == 0:
+        raise ValueError("directions must be at least one row of the clouds' dimension")
+    directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     proj_a = np.sort(a @ directions.T, axis=0)
     proj_b = np.sort(b @ directions.T, axis=0)
     per_direction = np.sqrt(((proj_a - proj_b) ** 2).mean(axis=0))
@@ -158,27 +151,23 @@ def coverage_check(estimates: np.ndarray, truth: float, bound: float,
     return CoverageResult(fraction, fraction <= delta + slack)
 
 
-def fit_geometric_rate(values: np.ndarray,
-                       ks: Optional[np.ndarray] = None) -> tuple[float, float]:
-    """Least-squares fit of log(values) against the iteration index.
+def fit_geometric_rate(values: np.ndarray, ks: np.ndarray) -> tuple[float, float]:
+    """Least-squares fit of log(values) against the iteration indices ``ks``.
 
     Returns (slope, intercept); the slope is the fitted per-step log rate.
     Values must be finite, strictly positive and at least three points long,
-    and ks finite.
+    and ks finite and of the same length.
     """
     values = np.asarray(values, dtype=float).ravel()
+    ks = np.asarray(ks, dtype=float).ravel()
     if values.size < 3:
         raise ValueError("need at least three points to fit a rate")
     # Written so that NaN, which fails every comparison, is rejected too.
     if not np.all((values > 0) & (values < np.inf)):
         raise ValueError("values must be finite and strictly positive")
-    if ks is None:
-        ks = np.arange(values.size, dtype=float)
-    else:
-        ks = np.asarray(ks, dtype=float).ravel()
-        if ks.shape != values.shape:
-            raise ValueError("ks must match values in length")
-        if not np.isfinite(ks).all():
-            raise ValueError("ks must be finite")
+    if ks.shape != values.shape:
+        raise ValueError("ks must match values in length")
+    if not np.isfinite(ks).all():
+        raise ValueError("ks must be finite")
     slope, intercept = np.polyfit(ks, np.log(values), 1)
     return float(slope), float(intercept)

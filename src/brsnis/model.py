@@ -432,16 +432,19 @@ def _log_posterior(spec: LogisticPosteriorSpec, signed: np.ndarray,
     return -sp.sum(axis=1) + lp
 
 
+_NEWTON_GRAD_TOL = 1e-8
+
+
 def laplace_proposal(spec: LogisticPosteriorSpec,
-                     grad_tol: float = 1e-8,
                      max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Newton mode and diagonal curvature of the logistic posterior.
 
     Returns ``(mean, var_diag)``, the Student proposal's centre and squared
     scale: the posterior mode and the elementwise inverse of the negative log
     posterior's Hessian diagonal there.  The objective is strictly concave, so
-    the iteration converges from the origin; failure to reach ``grad_tol``
-    within ``max_iter`` raises ``NewtonConvergenceError``.
+    the iteration converges from the origin; failure to bring the gradient
+    norm to ``_NEWTON_GRAD_TOL`` within ``max_iter`` steps raises
+    ``NewtonConvergenceError``.
     """
     x, y, tau2 = spec.covariates, spec.responses, spec.prior_precision
     dim = spec.dim
@@ -452,13 +455,13 @@ def laplace_proposal(spec: LogisticPosteriorSpec,
         s = 1.0 / (1.0 + np.exp(z))          # sigmoid(-z)
         grad = (y * s) @ x - tau2 * theta
         hess = (x * (s * (1.0 - s))[:, None]).T @ x + tau2 * eye
-        if np.linalg.norm(grad) <= grad_tol:
+        if np.linalg.norm(grad) <= _NEWTON_GRAD_TOL:
             return theta, 1.0 / np.diag(hess)
         if it == max_iter:
             break
         theta = theta + np.linalg.solve(hess, grad)
     raise NewtonConvergenceError(
-        f"mode search did not reach gradient tolerance {grad_tol} "
+        f"mode search did not reach gradient tolerance {_NEWTON_GRAD_TOL} "
         f"within {max_iter} iterations")
 
 

@@ -473,6 +473,10 @@ class TestSlicedWassersteinMixing:
         _, model, f, _ = mixture2
         omega, kappa = constants2
         chains, groups = 4000, 6
+        # One shared projection set for every slice comparison: the distance
+        # floor then cancels across k and N.
+        directions = np.random.default_rng(
+            np.random.SeedSequence([ACCEPTANCE_SEED, 777])).standard_normal((100, model.dim))
         curves = {}
         for tag, n in enumerate((8, 32, 128)):
             consts = bound_constants(max(omega, 1.0), max(kappa, 1.0), n)
@@ -484,12 +488,7 @@ class TestSlicedWassersteinMixing:
                                       starts=model.propose(rng, chains))
                 reference = model.target_sample(rng, chains)
                 for k in range(k_max + 1):
-                    # One shared projection set for every slice comparison:
-                    # the distance floor then cancels across k and N.
-                    proj_rng = np.random.default_rng(
-                        np.random.SeedSequence([ACCEPTANCE_SEED, 777]))
-                    sw[g, k] = sliced_wasserstein(states[:, k], reference,
-                                                  100, proj_rng)
+                    sw[g, k] = sliced_wasserstein(states[:, k], reference, directions)
             curves[n] = (sw.mean(axis=0),
                          sw.std(axis=0, ddof=1) / np.sqrt(groups),
                          consts.t_mix)

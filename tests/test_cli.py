@@ -234,6 +234,23 @@ class TestExperimentCommand:
         assert run(65, "2") == outputs
         assert outputs[0].splitlines()[1] == run(1, "1")[0].splitlines()[1]
 
+    @pytest.mark.parametrize("estimator", ["br-snis", "isir-state"])
+    def test_estimates_do_not_depend_on_the_chunk(self, estimator):
+        """Eight d=7 mixture chains give the same bits in one chunk, in eight
+        chunks of one and split 3 + 5; for isir-state this covers f on the
+        reshaped states of a whole chunk."""
+        built = cli.build_model({"name": "gaussian-mixture", "dim": 7})
+        point = {"N": 9, "k": 128, "k0": 64}
+
+        def run(sizes):
+            rngs = iter([replication_rng(1, 0, r) for r in range(8)])
+            return [result for size in sizes for result in cli.run_replication(
+                estimator, built, point, [next(rngs) for _ in range(size)])]
+
+        whole = run([8])
+        assert run([1] * 8) == whole
+        assert run([3, 5]) == whole
+
     def test_budget_honesty_all_estimators(self, tmp_path):
         cases = {
             "snis": ({"M": 60}, 60),
@@ -380,6 +397,24 @@ class TestDiagnoseCommand:
                     "tv_of_averaged_predictive_snis",
                     "tv_of_averaged_predictive_br"):
             assert 0.0 <= entry[key] <= 1.0
+
+    def test_tv_summary_means_match_csv_rows(self, tmp_path):
+        """The rows alternate snis and br-snis-bootstrap by replication, and
+        the summary means are exactly the means of the written values."""
+        config = tv_config(tmp_path, budgets=[16, 32], replications=40)
+        assert main(["diagnose", "--config", config]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "tv.csv").read_text().splitlines()[1:]]
+        summary = json.loads((tmp_path / "tv.csv.summary.json").read_text())
+        assert len(rows) == 2 * 2 * 40
+        for b, entry in enumerate(summary["per_budget"]):
+            block = rows[b * 80:(b + 1) * 80]
+            assert [row[:4] for row in block] == [
+                ["tv", estimator, str(entry["M"]), str(r)]
+                for r in range(40) for estimator in ("snis", "br-snis-bootstrap")]
+            values = [float(row[4]) for row in block]
+            assert entry["mean_tv_snis"] == np.mean(values[0::2])
+            assert entry["mean_tv_br"] == np.mean(values[1::2])
 
     @pytest.mark.parametrize("model, diagnostic", [
         ({}, {"budgets": [18]}),

@@ -98,21 +98,24 @@ class TestSlicedWasserstein:
     def test_identical_sets_zero(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((500, 3))
-        assert sliced_wasserstein(pts, pts, 32, np.random.default_rng(3)) == 0.0
+        directions = np.random.default_rng(3).standard_normal((32, 3))
+        assert sliced_wasserstein(pts, pts, directions) == 0.0
 
     def test_point_mass_translation(self):
         a = np.zeros((2, 1))
         b = np.ones((2, 1))
         for n_proj in (1, 7, 50):
-            value = sliced_wasserstein(a, b, n_proj, np.random.default_rng(4))
+            directions = np.random.default_rng(4).standard_normal((n_proj, 1))
+            value = sliced_wasserstein(a, b, directions)
             assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((300, 2))
         b = rng.standard_normal((300, 2)) + 1.0
-        ab = sliced_wasserstein(a, b, 64, np.random.default_rng(6))
-        ba = sliced_wasserstein(b, a, 64, np.random.default_rng(6))
+        directions = np.random.default_rng(6).standard_normal((64, 2))
+        ab = sliced_wasserstein(a, b, directions)
+        ba = sliced_wasserstein(b, a, directions)
         assert ab == pytest.approx(ba, rel=1e-12)
 
     def test_gaussian_shift_oracle(self):
@@ -123,26 +126,28 @@ class TestSlicedWasserstein:
         a = rng.standard_normal((n, 2))
         b = rng.standard_normal((n, 2))
         b[:, 0] += shift
-        value = sliced_wasserstein(a, b, 1500, np.random.default_rng(8))
+        directions = np.random.default_rng(8).standard_normal((1500, 2))
+        value = sliced_wasserstein(a, b, directions)
         assert value == pytest.approx(2.0 * shift / np.pi, rel=0.02)
 
-    def test_subsampling_unequal_sizes(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((2000, 2))
-        b = rng.standard_normal((500, 2))
-        value = sliced_wasserstein(a, b, 64, np.random.default_rng(10))
-        assert np.isfinite(value) and value >= 0
+    def test_unequal_clouds_rejected(self):
+        """Clouds of different sizes used to be subsampled to the smaller one."""
+        with pytest.raises(ValueError, match="of one shape"):
+            sliced_wasserstein(np.zeros((4, 2)), np.zeros((3, 2)), np.ones((8, 2)))
+
+    def test_directions_of_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="clouds' dimension"):
+            sliced_wasserstein(np.zeros((3, 2)), np.ones((3, 2)), np.ones((8, 3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            sliced_wasserstein(np.zeros((3, 2)), np.zeros((3, 3)), 8,
-                               np.random.default_rng(11))
+            sliced_wasserstein(np.zeros((3, 2)), np.zeros((3, 3)),
+                               np.random.default_rng(11).standard_normal((8, 2)))
 
     def test_no_projections_rejected(self):
         """Zero directions used to average an empty set: NaN and a warning."""
-        with pytest.raises(ValueError, match="n_projections must be at least 1"):
-            sliced_wasserstein(np.zeros((3, 2)), np.ones((3, 2)), 0,
-                               np.random.default_rng(12))
+        with pytest.raises(ValueError, match="directions must be at least one row"):
+            sliced_wasserstein(np.zeros((3, 2)), np.ones((3, 2)), np.zeros((0, 2)))
 
 
 class TestTvPredictive:
@@ -216,12 +221,12 @@ class TestFitGeometricRate:
     def test_exact_geometric_sequence(self):
         rate = 0.37
         values = 2.5 * rate ** np.arange(8)
-        slope, intercept = fit_geometric_rate(values)
+        slope, intercept = fit_geometric_rate(values, np.arange(8))
         assert slope == pytest.approx(np.log(rate), abs=1e-12)
         assert intercept == pytest.approx(np.log(2.5), abs=1e-10)
 
     def test_constant_values_zero_slope(self):
-        slope, _ = fit_geometric_rate(np.full(5, 4.2))
+        slope, _ = fit_geometric_rate(np.full(5, 4.2), np.arange(5))
         assert slope == pytest.approx(0.0, abs=1e-12)
 
     def test_custom_grid(self):
@@ -233,16 +238,16 @@ class TestFitGeometricRate:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fit_geometric_rate([1.0, 2.0])
+            fit_geometric_rate([1.0, 2.0], np.arange(2))
         with pytest.raises(ValueError):
-            fit_geometric_rate([1.0, -2.0, 3.0])
+            fit_geometric_rate([1.0, -2.0, 3.0], np.arange(3))
 
     @pytest.mark.parametrize("values", [[1.0, np.nan, 3.0], [1.0, np.inf, 3.0]],
                              ids=["nan", "inf"])
     def test_non_finite_values_rejected(self, values):
         """``values <= 0`` let NaN through, and the fit returned (nan, nan)."""
         with pytest.raises(ValueError, match="values must be finite"):
-            fit_geometric_rate(values)
+            fit_geometric_rate(values, np.arange(3))
 
     def test_non_finite_ks_rejected(self):
         with pytest.raises(ValueError, match="ks must be finite"):

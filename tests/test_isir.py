@@ -356,12 +356,12 @@ class TestRunChains:
                               starts=model.target_sample(rng, chains))
         moved = states[:, 1]
         reference = model.target_sample(rng, chains)
-        sw_chain = sliced_wasserstein(moved, reference, 64,
-                                      np.random.default_rng(100))
+        sw_chain = sliced_wasserstein(moved, reference,
+                                      np.random.default_rng(100).standard_normal((64, 2)))
         null = np.array([
             sliced_wasserstein(model.target_sample(rng, chains),
-                               model.target_sample(rng, chains), 64,
-                               np.random.default_rng(100 + i))
+                               model.target_sample(rng, chains),
+                               np.random.default_rng(100 + i).standard_normal((64, 2)))
             for i in range(12)
         ])
         assert sw_chain <= null.mean() + 4.0 * null.std(ddof=1) + 1e-9
