@@ -397,18 +397,48 @@ def _write_outputs(out_path: str, lines: list[str], summary: dict):
             raise
 
 
+# The job of a forked worker, set by ``_install_job`` when the worker starts.
+_worker_job = None
+
+
+def _install_job(job):
+    global _worker_job
+    _worker_job = job
+
+
+def _run_worker_job(rngs):
+    return _worker_job(rngs)
+
+
 def _replicate(seed: int, grid_index: int, replications: int, threads: int, job,
                chunk: int = 1) -> list:
     """``job(rngs)`` on consecutive chunks of ``chunk`` replication generators
     of one grid point, one result per generator, in replication order.  The
-    chunks do not depend on ``threads``; each worker runs whole chunks."""
+    chunks do not depend on ``threads``; each worker runs whole chunks.
+
+    With more than one worker, the workers are processes forked from this one,
+    so the replay's Python loops do not share a GIL.  Fork hands the job to
+    them unpickled; only the chunks' generators go out and their results come
+    back.  Where ``fork`` is missing the workers are threads."""
     rngs = [replication_rng(seed, grid_index, r) for r in range(replications)]
     chunks = [rngs[i:i + chunk] for i in range(0, replications, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, chunks))
-    else:
+    # A fork pool starts all its workers at once; start none without a chunk.
+    workers = min(threads, len(chunks))
+    if workers < 2:
         results = [job(rngs) for rngs in chunks]
+    else:
+        # Imported here, so that importing the CLI does not pay for them.
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_install_job, initargs=(job,))
+            job = _run_worker_job
+        else:
+            pool = ThreadPoolExecutor(max_workers=workers)
+        with pool:
+            results = list(pool.map(job, chunks))
     return [result for part in results for result in part]
 
 
@@ -614,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="base seed override")
         cmd.add_argument("--out", default=None, help="output path override")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for replications")
+                         help="worker processes for replications")
         cmd.add_argument("--override", action="append", default=[],
                          metavar="KEY=VALUE", help="config override, dotted keys")
     return parser

@@ -1,8 +1,10 @@
 """CLI subcommands: config handling, determinism, budgets, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import runpy
 import subprocess
@@ -208,13 +210,22 @@ class TestExperimentCommand:
         assert point["bias"] == pytest.approx(estimate - point["truth"], rel=1e-12)
 
     def test_deterministic_across_thread_counts(self, tmp_path):
-        config = experiment_config(tmp_path, replications=6, batch_size=3)
-        assert main(["experiment", "--config", config, "--threads", "1"]) == 0
-        first = (tmp_path / "out.csv").read_bytes()
-        first_summary = (tmp_path / "out.csv.summary.json").read_bytes()
-        assert main(["experiment", "--config", config, "--threads", "4"]) == 0
-        assert (tmp_path / "out.csv").read_bytes() == first
-        assert (tmp_path / "out.csv.summary.json").read_bytes() == first_summary
+        """Every estimator writes the same bytes at 1, 2 and 4 workers.  snis
+        and the bootstrap run one replication per chunk, so they fork 2 and 4
+        workers; six chain replications are one chunk, which runs in the
+        calling process (65 of them fork, in the next test)."""
+        points = {"snis": {"M": 64}, "isir-state": {"N": 5, "k": 6},
+                  "br-snis": {"N": 5, "k": 6, "k0": 2},
+                  "br-snis-bootstrap": {"N": 5, "k": 6, "rounds": 2}}
+        for estimator, point in points.items():
+            config = experiment_config(tmp_path, estimator=estimator, grid=[point],
+                                       replications=6, batch_size=3)
+            outputs = []
+            for threads in ("1", "2", "4"):
+                assert main(["experiment", "--config", config, "--threads", threads]) == 0
+                outputs.append([(tmp_path / name).read_bytes()
+                                for name in ("out.csv", "out.csv.summary.json")])
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], estimator
 
     @pytest.mark.parametrize("estimator", ["br-snis", "isir-state"])
     def test_chain_chunks_deterministic_across_thread_counts(self, tmp_path, estimator):
@@ -560,8 +571,8 @@ class TestDiagnoseCommand:
         assert outputs[0] == outputs[1]
 
     def test_sw_output_identical_across_thread_counts(self, tmp_path):
-        """Each group owns its stream, so the groups' worker threads do not
-        change a byte."""
+        """Each group owns its stream, so running the groups on workers does
+        not change a byte."""
         config = sw_config(tmp_path)
         outputs = []
         for threads in ("1", "2"):
@@ -730,6 +741,81 @@ class TestExitCodes:
     def test_parse_error(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+class TestWorkerProcesses:
+    """``--threads`` above 1 runs the chunks on forked worker processes, or on
+    threads where ``fork`` is missing.  Every output and exit code is the one
+    of a single-worker run, and no worker outlives ``main``."""
+
+    BOOTSTRAP = {"estimator": "br-snis-bootstrap", "grid": [{"N": 5, "k": 6, "rounds": 2}],
+                 "replications": 4, "batch_size": 2}
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The executor class and ``max_workers`` of every pool the CLI opens.
+        A pool asked for more than four workers fails before it starts any."""
+        opened = []
+
+        def spy(executor):
+            class Spy(executor):
+                def __init__(self, max_workers=None, *args, **kwargs):
+                    opened.append((executor.__name__, max_workers))
+                    assert max_workers <= 4, "too many workers"
+                    super().__init__(max_workers, *args, **kwargs)
+            return Spy
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            spy(concurrent.futures.ProcessPoolExecutor))
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", spy(cli.ThreadPoolExecutor))
+        return opened
+
+    def test_no_idle_workers(self, tmp_path, pools):
+        """--threads 64 on three one-replication chunks forks three workers;
+        a single chunk runs in the calling process."""
+        for replications in (3, 1):
+            config = experiment_config(tmp_path, replications=replications, batch_size=1)
+            assert main(["experiment", "--config", config, "--threads", "64"]) == 0
+            assert multiprocessing.active_children() == []
+        assert pools == [("ProcessPoolExecutor", 3)]
+
+    @pytest.mark.parametrize("error, code, message", [
+        (RuntimeError("replication failed"), 3, "runtime error: replication failed\n"),
+        (cli.ConfigError("point rejected"), 2, "config error: point rejected\n"),
+    ], ids=["runtime-error", "config-error"])
+    def test_worker_error_exit_codes(self, tmp_path, monkeypatch, capsys, pools,
+                                     error, code, message):
+        """An error raised inside a worker exits with the code and message it
+        gives at one thread, and writes no output; the workers inherit the
+        patched ``run_replication``."""
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "run_replication", fail)
+        config = experiment_config(tmp_path, **self.BOOTSTRAP)
+        for threads in ("1", "2"):
+            assert main(["experiment", "--config", config, "--threads", threads]) == code
+            assert capsys.readouterr().err == message
+            assert multiprocessing.active_children() == []
+        assert pools == [("ProcessPoolExecutor", 2)]
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_thread_pool_without_fork(self, tmp_path, monkeypatch, pools):
+        """Without the ``fork`` start method the workers are threads, and the
+        bytes are those of one worker and of forked workers."""
+        config = experiment_config(tmp_path, **self.BOOTSTRAP)
+
+        def run(threads):
+            assert main(["experiment", "--config", config, "--threads", threads]) == 0
+            assert multiprocessing.active_children() == []
+            return [(tmp_path / name).read_bytes()
+                    for name in ("out.csv", "out.csv.summary.json")]
+
+        serial, forked = run("1"), run("2")
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        assert run("2") == forked == serial
+        assert pools == [("ProcessPoolExecutor", 2), ("ThreadPoolExecutor", 2)]
 
 
 class TestShippedInputs:
