@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, get_args
 
@@ -43,11 +43,9 @@ _DATA_STREAM = 2 ** 31 + 2
 _TEST_POINTS_STREAM = 2 ** 31 + 3
 
 ESTIMATORS = ("snis", "isir-state", "br-snis", "br-snis-bootstrap")
-# The chain estimators run their replications in lockstep chunks of this many
-# chains.  The chunk bounds the size of the lockstep arrays; no output depends
-# on it, nor on --threads.
-_CHAIN_ESTIMATORS = ("isir-state", "br-snis")
-_CHAIN_CHUNK = 64
+# The most replications of one chunk: a chain estimator's lockstep arrays
+# grow with it.  No output depends on the chunk, nor on --threads.
+_MAX_CHUNK = 64
 MODELS = ("gaussian-mixture", "logistic-synthetic")
 DIAGNOSTICS = ("sw", "tv")
 
@@ -380,6 +378,13 @@ def _format_row(values) -> str:
     return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
+def _check_out(out_path: str):
+    """ConfigError, before anything is drawn, if ``out_path`` names a directory
+    or lies in a missing one: the run would end unable to write."""
+    if os.path.isdir(out_path) or not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise ConfigError(f"out {out_path} is a directory or lies in a missing one")
+
+
 def _write_outputs(out_path: str, lines: list[str], summary: dict):
     """Render the CSV lines and the summary, then write each to a temporary
     file beside its target and rename it into place."""
@@ -410,36 +415,29 @@ def _run_worker_job(rngs):
     return _worker_job(rngs)
 
 
-def _replicate(seed: int, grid_index: int, replications: int, threads: int, job,
-               chunk: int = 1) -> list:
-    """``job(rngs)`` on consecutive chunks of ``chunk`` replication generators
-    of one grid point, one result per generator, in replication order.  The
-    chunks do not depend on ``threads``; each worker runs whole chunks.
-
-    With more than one worker, the workers are processes forked from this one,
-    so the replay's Python loops do not share a GIL.  Fork hands the job to
-    them unpickled; only the chunks' generators go out and their results come
-    back.  Where ``fork`` is missing the workers are threads."""
-    rngs = [replication_rng(seed, grid_index, r) for r in range(replications)]
-    chunks = [rngs[i:i + chunk] for i in range(0, replications, chunk)]
+def _replicate(seed: int, grid_index: int, replications: int, threads: int, job) -> list:
+    """``job(rngs)`` on consecutive chunks of one grid point's replication
+    generators, one result per generator in replication order: the fewest
+    chunks of at most ``_MAX_CHUNK`` that give each of ``threads`` workers as
+    many, sizes within one.  Up to ``threads`` run at once on processes forked
+    from this one, off the GIL, which inherit the job unpickled: only
+    generators go out and results come back.  One chunk, or no ``fork``, runs here."""
+    count = min(replications, threads * math.ceil(replications / (threads * _MAX_CHUNK)))
+    chunks = [[replication_rng(seed, grid_index, r) for r in part.tolist()]
+              for part in np.array_split(np.arange(replications), count)]
     # A fork pool starts all its workers at once; start none without a chunk.
     workers = min(threads, len(chunks))
-    if workers < 2:
-        results = [job(rngs) for rngs in chunks]
-    else:
+    if workers > 1:
         # Imported here, so that importing the CLI does not pay for them.
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_install_job, initargs=(job,))
-            job = _run_worker_job
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-        with pool:
-            results = list(pool.map(job, chunks))
-    return [result for part in results for result in part]
+            with ProcessPoolExecutor(max_workers=workers,
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_install_job, initargs=(job,)) as pool:
+                return [result for part in pool.map(_run_worker_job, chunks)
+                        for result in part]
+    return [result for rngs in chunks for result in job(rngs)]
 
 
 def cmd_experiment(config: dict, threads: int) -> int:
@@ -450,6 +448,7 @@ def cmd_experiment(config: dict, threads: int) -> int:
     if replications % batch_size:
         raise ConfigError("batch_size must divide the number of replications")
     grid = [_normalize_grid_point(estimator, p) for p in config["grid"]]
+    _check_out(config["out"])
     built = build_model(config["model"])
     omega, kappa, estimated = resolve_constants(config, built)
 
@@ -457,8 +456,7 @@ def cmd_experiment(config: dict, threads: int) -> int:
     summary_points = []
     for grid_index, point in enumerate(grid):
         results = _replicate(seed, grid_index, replications, threads,
-                             lambda rngs: run_replication(estimator, built, point, rngs),
-                             _CHAIN_CHUNK if estimator in _CHAIN_ESTIMATORS else 1)
+                             lambda rngs: run_replication(estimator, built, point, rngs))
         estimates = np.array([r[0] for r in results])
         draw_counts = sorted({r[1] for r in results})
         for replication, (estimate, _) in enumerate(results):
@@ -614,6 +612,7 @@ def cmd_diagnose(config: dict, threads: int) -> int:
         section["schedule"] = [_normalize_grid_point("br-snis-bootstrap", {
             "N": section["N"] if m <= 64 else section["N_large"], "M": m})
             for m in section["budgets"]]
+    _check_out(config["out"])
     built = build_model(config["model"])
     run = _diagnose_sw if section["kind"] == "sw" else _diagnose_tv
     lines, summary = run(config, built, section, threads)

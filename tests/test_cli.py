@@ -210,10 +210,9 @@ class TestExperimentCommand:
         assert point["bias"] == pytest.approx(estimate - point["truth"], rel=1e-12)
 
     def test_deterministic_across_thread_counts(self, tmp_path):
-        """Every estimator writes the same bytes at 1, 2 and 4 workers.  snis
-        and the bootstrap run one replication per chunk, so they fork 2 and 4
-        workers; six chain replications are one chunk, which runs in the
-        calling process (65 of them fork, in the next test)."""
+        """Every estimator writes the same bytes at 1, 2 and 4 threads: its six
+        replications run as one chunk in the calling process, as two chunks
+        of three on two forked workers and as chunks of 2, 2, 1 and 1 on four."""
         points = {"snis": {"M": 64}, "isir-state": {"N": 5, "k": 6},
                   "br-snis": {"N": 5, "k": 6, "k0": 2},
                   "br-snis-bootstrap": {"N": 5, "k": 6, "rounds": 2}}
@@ -229,9 +228,9 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("estimator", ["br-snis", "isir-state"])
     def test_chain_chunks_deterministic_across_thread_counts(self, tmp_path, estimator):
-        """65 logistic replications run as a chunk of 64 chains and a chunk of
-        one: the bytes are the same at 1 and 2 threads, and replication 0
-        reads as it does when it runs alone."""
+        """65 logistic replications run as chunks of 33 and 32 chains at one
+        thread, and of 22, 22 and 21 on three forked workers: the bytes are
+        the same, and replication 0 reads as it does when it runs alone."""
         def run(replications, threads):
             config = experiment_config(
                 tmp_path, model={"name": "logistic-synthetic"}, estimator=estimator,
@@ -242,7 +241,7 @@ class TestExperimentCommand:
                     (tmp_path / "out.csv.summary.json").read_bytes())
 
         outputs = run(65, "1")
-        assert run(65, "2") == outputs
+        assert run(65, "3") == outputs
         assert outputs[0].splitlines()[1] == run(1, "1")[0].splitlines()[1]
 
     @pytest.mark.parametrize("estimator", ["br-snis", "isir-state"])
@@ -706,10 +705,33 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["out.csv", "out.csv.summary.json"]
 
-    def test_unwritable_output_is_runtime_error(self, tmp_path):
-        config = experiment_config(tmp_path,
-                                   out=str(tmp_path / "missing" / "out.csv"))
+    @pytest.mark.parametrize("command", ["experiment", "diagnose"])
+    @pytest.mark.parametrize("out", ["missing/out.csv", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_output_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                               command, out):
+        """An output in a missing directory, or one that names a directory, is
+        a config error before the model is built, not a failed write at the
+        end of the run."""
+        out = str(tmp_path / out)
+        config = (experiment_config if command == "experiment" else tv_config)(tmp_path)
+        monkeypatch.setattr(cli, "build_model", fail_if_called)
+        assert main([command, "--config", config, "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: out {out} is a directory or lies in a missing one\n"
+
+    def test_unwritable_output_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        """A directory that vanishes after the check fails the write: exit 3."""
+        build = cli.build_model
+
+        def remove_directory(section):
+            (tmp_path / "gone").rmdir()
+            return build(section)
+
+        (tmp_path / "gone").mkdir()
+        monkeypatch.setattr(cli, "build_model", remove_directory)
+        config = experiment_config(tmp_path, out=str(tmp_path / "gone" / "out.csv"))
         assert main(["experiment", "--config", config]) == 3
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_unbounded_weight_is_runtime_error(self, tmp_path, monkeypatch, capsys):
         """A model whose weight grows without bound: omega's search stops with
@@ -744,31 +766,47 @@ class TestExitCodes:
 
 
 class TestWorkerProcesses:
-    """``--threads`` above 1 runs the chunks on forked worker processes, or on
-    threads where ``fork`` is missing.  Every output and exit code is the one
-    of a single-worker run, and no worker outlives ``main``."""
+    """``--threads`` above 1 runs the chunks on forked worker processes, or in
+    the calling process where ``fork`` is missing.  Every output and exit
+    code is the one of a single-worker run, and no worker outlives ``main``."""
 
     BOOTSTRAP = {"estimator": "br-snis-bootstrap", "grid": [{"N": 5, "k": 6, "rounds": 2}],
                  "replications": 4, "batch_size": 2}
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """The executor class and ``max_workers`` of every pool the CLI opens.
-        A pool asked for more than four workers fails before it starts any."""
+        """The ``max_workers`` of every process pool the CLI opens.  A pool
+        asked for more than four workers fails before it starts any."""
         opened = []
 
-        def spy(executor):
-            class Spy(executor):
-                def __init__(self, max_workers=None, *args, **kwargs):
-                    opened.append((executor.__name__, max_workers))
-                    assert max_workers <= 4, "too many workers"
-                    super().__init__(max_workers, *args, **kwargs)
-            return Spy
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                opened.append(max_workers)
+                assert max_workers <= 4, "too many workers"
+                super().__init__(max_workers, *args, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            spy(concurrent.futures.ProcessPoolExecutor))
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", spy(cli.ThreadPoolExecutor))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         return opened
+
+    @pytest.mark.parametrize("replications, threads, sizes", [
+        (130, 1, [44, 43, 43]), (130, 2, [33, 33, 32, 32]), (200, 2, [50] * 4),
+        (65, 2, [33, 32]), (12, 2, [6, 6]), (3, 64, [1, 1, 1]), (1, 4, [1])])
+    def test_chunk_rule(self, pools, replications, threads, sizes):
+        """The fewest chunks of at most 64 generators that give each of the
+        ``threads`` workers as many, sizes within one of each other, on up to
+        ``threads`` forked workers; the results come back in replication order."""
+        def job(rngs):
+            return [(len(rngs), rng.bit_generator.state["state"]) for rng in rngs]
+
+        results = cli._replicate(3, 1, replications, threads, job)
+        assert [size for size, _ in results] == [size for size in sizes
+                                                 for _ in range(size)]
+        assert [state for _, state in results] == [
+            replication_rng(3, 1, r).bit_generator.state["state"]
+            for r in range(replications)]
+        workers = min(threads, len(sizes))
+        assert pools == ([workers] if workers > 1 else [])
+        assert multiprocessing.active_children() == []
 
     def test_no_idle_workers(self, tmp_path, pools):
         """--threads 64 on three one-replication chunks forks three workers;
@@ -777,7 +815,7 @@ class TestWorkerProcesses:
             config = experiment_config(tmp_path, replications=replications, batch_size=1)
             assert main(["experiment", "--config", config, "--threads", "64"]) == 0
             assert multiprocessing.active_children() == []
-        assert pools == [("ProcessPoolExecutor", 3)]
+        assert pools == [3]
 
     @pytest.mark.parametrize("error, code, message", [
         (RuntimeError("replication failed"), 3, "runtime error: replication failed\n"),
@@ -797,12 +835,12 @@ class TestWorkerProcesses:
             assert main(["experiment", "--config", config, "--threads", threads]) == code
             assert capsys.readouterr().err == message
             assert multiprocessing.active_children() == []
-        assert pools == [("ProcessPoolExecutor", 2)]
+        assert pools == [2]
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
-    def test_thread_pool_without_fork(self, tmp_path, monkeypatch, pools):
-        """Without the ``fork`` start method the workers are threads, and the
-        bytes are those of one worker and of forked workers."""
+    def test_calling_process_without_fork(self, tmp_path, monkeypatch, pools):
+        """Without the ``fork`` start method, --threads 2 opens no pool and
+        writes the bytes of --threads 1 and of forked workers."""
         config = experiment_config(tmp_path, **self.BOOTSTRAP)
 
         def run(threads):
@@ -815,7 +853,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn", "forkserver"])
         assert run("2") == forked == serial
-        assert pools == [("ProcessPoolExecutor", 2), ("ThreadPoolExecutor", 2)]
+        assert pools == [2]
 
 
 class TestShippedInputs:
@@ -887,6 +925,19 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         summary = json.loads((tmp_path / "out.csv.summary.json").read_text())
         assert summary["constants_estimated"] and "truth" in summary["points"][0]
+
+    def test_cli_import_loads_no_pool(self):
+        """``from brsnis import cli`` loads neither process pools nor
+        ``concurrent.futures``: only a run that forks imports them."""
+        code = ("import sys\n"
+                "from brsnis import cli\n"
+                "loaded = [m for m in ('concurrent.futures', 'multiprocessing',\n"
+                "                      'concurrent.futures.process') if m in sys.modules]\n"
+                "assert not loaded, loaded\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTraceHooks:
