@@ -59,10 +59,6 @@ def replication_rng(seed: int, grid_index: int, replication: int) -> np.random.G
     return np.random.default_rng(np.random.SeedSequence([seed, grid_index, replication]))
 
 
-def _stream_rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, tag, 0]))
-
-
 def seed_fingerprint(seed: int, grid_index: int, replication: int) -> int:
     """Deterministic integer echoed in the CSV seed column."""
     ss = np.random.SeedSequence([seed, grid_index, replication])
@@ -219,7 +215,7 @@ def build_model(section: dict) -> BuiltModel:
         raise ConfigError(f"component must be below dim = {dim}")
     if not section["prior_precision"] > 0:
         raise ConfigError("prior_precision must be positive")
-    rng = _stream_rng(section["data_seed"], _DATA_STREAM)
+    rng = replication_rng(section["data_seed"], _DATA_STREAM, 0)
     x, y = synthetic_logistic_data(rng, dim, section["n_obs"],
                                    np.asarray(theta_star, dtype=float))
     spec = LogisticPosteriorSpec(covariates=x, responses=y,
@@ -239,7 +235,7 @@ def resolve_constants(config: dict, built: BuiltModel) -> tuple[float, float, bo
     omega, kappa = config["omega"], config["kappa"]
     estimated = omega is None or kappa is None
     if estimated:
-        rng, model = _stream_rng(config["seed"], _CONSTANTS_STREAM), built.model
+        rng, model = replication_rng(config["seed"], _CONSTANTS_STREAM, 0), built.model
         log_weights = model.log_weight(model.propose(rng, config["estimate_draws"]))
         # Both are at least 1 by definition; a Monte Carlo estimate can fall short.
         if kappa is None:
@@ -304,7 +300,8 @@ def run_replication(estimator: str, built: BuiltModel, point: dict,
                      for draws in (counter.propose(rng, point["M"]) for rng in rngs)]
     elif estimator == "br-snis-bootstrap":
         estimates = [bootstrap_br_snis(build_sample_bank(counter, f, point["M"], rng),
-                                       cfg, point["rounds"], rng) for rng in rngs]
+                                       cfg, point["rounds"], rng).mean(axis=0)
+                     for rng in rngs]
     elif estimator == "br-snis":
         estimates = rolling_estimate(run_chain(counter, f, cfg, rngs)[0], cfg.burn_in)
     else:
@@ -507,7 +504,7 @@ def _diagnose_sw(config: dict, built: BuiltModel, section: dict,
     model, chains = built.model, section["chains"]
     # A supplied kappa leaves only omega to estimate, from the pass `bounds` draws.
     omega, _, estimated = resolve_constants({**config, "kappa": 1.0}, built)
-    directions = _stream_rng(seed, _REFERENCE_STREAM).standard_normal(
+    directions = replication_rng(seed, _REFERENCE_STREAM, 0).standard_normal(
         (section["projections"], model.dim))
     rows = []
     summary = {"omega": omega, "omega_estimated": estimated, "per_n": []}
@@ -560,9 +557,10 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
     seed, replications, n_test = (config["seed"], section["replications"],
                                   section["test_points"])
     model = built.model
-    x_test = _stream_rng(seed, _TEST_POINTS_STREAM).standard_normal((n_test, model.dim))
+    x_test = replication_rng(seed, _TEST_POINTS_STREAM, 0).standard_normal(
+        (n_test, model.dim))
 
-    ref_rng = _stream_rng(seed, _REFERENCE_STREAM)
+    ref_rng = replication_rng(seed, _REFERENCE_STREAM, 0)
     ref_points = model.propose(ref_rng, section["reference_draws"])
     # A weighted mean of probabilities can round a few ulp above 1.
     reference = np.clip(_reference_predictive(model.log_weight(ref_points), ref_points,
@@ -579,7 +577,7 @@ def _diagnose_tv(config: dict, built: BuiltModel, section: dict,
         def one(rng):
             bank = build_sample_bank(model, predictive, m, rng)
             return (snis_estimate(bank.log_weights, bank.f_values),
-                    bootstrap_br_snis(bank, cfg, rounds, rng))
+                    bootstrap_br_snis(bank, cfg, rounds, rng).mean(axis=0))
 
         # (replications, [snis, br-snis-bootstrap], test points)
         predictives = np.array(_replicate(seed, gi, replications, threads,

@@ -46,7 +46,7 @@ class CachedSampleBank:
     the replay reads only weights and f values.
 
     ``f_values`` may be ``(M,)`` or ``(M, q)`` for q test functions sharing
-    the weights.  Arrays are frozen after construction.
+    the weights.  The bank freezes views, so the caller's arrays stay writable.
     """
 
     log_weights: np.ndarray
@@ -64,8 +64,9 @@ class CachedSampleBank:
         if np.shape(self.initial_f_value) != fv.shape[1:]:
             raise ValueError("initial_f_value must have the shape of one f_values row")
         for arr, name in ((lw, "log_weights"), (fv, "f_values")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            view = arr.view()  # may share the caller's memory, not its flags
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def size(self) -> int:
@@ -89,7 +90,7 @@ def build_sample_bank(model: ModelSpec, f: TestFunction, n_samples: int,
 
 
 def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
-                      rng: np.random.Generator) -> float | np.ndarray:
+                      rng: np.random.Generator) -> np.ndarray:
     """Permutation-averaged replay of the selection dynamics over a bank.
 
     Each round draws a fresh uniform permutation of the M cached entries,
@@ -99,12 +100,14 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
     next state is selected by one categorical draw on the cached weights.
     The state carries over between rounds, so the selection dynamics keep
     mixing across the whole replay; the reserved entry seeds round one.
-    The returned value is the arithmetic mean over rounds.  No model
-    evaluation happens here; everything runs off the cached weights and
-    f values.
+    Returns the round values, ``(rounds,)`` for a ``(M,)`` bank and
+    ``(rounds, q)`` for q columns; the estimate is their mean over axis 0.
+    No model evaluation happens here; everything runs off the cached
+    weights and f values.
 
     Random-stream contract per round: one permutation of M indices, then k
-    selection uniforms.
+    selection uniforms.  Only the state carries forward, so the first r
+    rounds of an R-round replay are, bit for bit, the r-round replay.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -113,7 +116,6 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
     if (n - 1) * k != m_total:
         raise ValueError(f"bank of size {m_total} does not match "
                          f"(N - 1) k = {(n - 1) * k}")
-    multi = bank.f_values.ndim == 2
     # One global max shift, checked before any exp() (np.maximum keeps a NaN
     # initial log weight), keeps every exp() in [0, 1].  A pool whose shifted
     # total underflows below the smallest normal float is normalized on its
@@ -156,5 +158,4 @@ def bootstrap_br_snis(bank: CachedSampleBank, cfg: RollingConfig, rounds: int,
             if own_shift:
                 state_w = float(np.exp(state_lw - shift))
         round_means[rnd] = acc / kept
-    result = round_means.mean(axis=0)
-    return result if multi else float(result)
+    return round_means

@@ -242,7 +242,7 @@ class TestFixedBudgetComparison:
                 bank = CachedSampleBank(lw[i, :m], fv[i, :m], float(lw[i, m]),
                                         fv[i, m])
                 snis_est[done + i] = snis_estimate(bank.log_weights, bank.f_values)
-                br_est[done + i] = bootstrap_br_snis(bank, cfg, rounds, rng)
+                br_est[done + i] = bootstrap_br_snis(bank, cfg, rounds, rng).mean(axis=0)
             done += take
         stats_snis = replication_stats(snis_est, truth, batch_size=100)
         stats_br = replication_stats(br_est, truth, batch_size=100)
@@ -537,7 +537,7 @@ class TestLogisticPredictiveOrdering:
             for _ in range(reps):
                 bank = build_sample_bank(model, predictive, m, rng)
                 snis_sum += snis_estimate(bank.log_weights, bank.f_values)
-                br_sum += bootstrap_br_snis(bank, cfg, rounds=k, rng=rng)
+                br_sum += bootstrap_br_snis(bank, cfg, rounds=k, rng=rng).mean(axis=0)
             tv_snis = np.abs(snis_sum / reps - reference).mean()
             tv_br = np.abs(br_sum / reps - reference).mean()
             ok = ok and tv_br <= tv_snis
